@@ -14,6 +14,7 @@ from .analysis import (
     RatioValue,
     all_nash,
     compute_ratios,
+    enumerate_orbits,
     enumerate_profiles,
     optimal_profile,
     verify_lemma_cost_bound,

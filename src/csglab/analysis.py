@@ -11,18 +11,12 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
-from .game import (
-    GameInstance,
-    StrategyProfile,
-    agent_cost,
-    is_nash,
-    max_cost,
-    potential,
-    sum_cost,
-)
+from .game import GameInstance, StrategyProfile, agent_cost, feasible_profiles, is_nash, potential
 from .graphs import DEFAULT_PATH_CAP, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
@@ -32,68 +26,102 @@ class Criterion(Enum):
     MAX = "mc"
 
 
-def social_cost(instance: GameInstance, profile: StrategyProfile, criterion: Criterion) -> Cost:
-    if criterion is Criterion.SUM:
-        return sum_cost(instance, profile)
-    return max_cost(instance, profile)
+def _feasible_profiles(
+    instance: GameInstance, cap: int, one_per_orbit: bool
+) -> list[StrategyProfile]:
+    """Feasible profiles, ordered lexicographically by per-agent path rank.
+
+    Guards both the per-agent path counts and the product of the counts with
+    ``cap``; beyond that the instance is declared too large for exhaustive
+    work. With ``one_per_orbit`` an agent's rank starts at the rank of the
+    previous agent with the same terminals.
+    """
+    option_lists = [instance.agent_paths(j, cap) for j in range(instance.n)]
+    counts = [len(options) for options in option_lists]
+    combinations = prod(counts, start=1)
+    if combinations > cap:
+        product = "×".join(map(str, counts)) or "1"
+        raise PathExplosion(f"ordered profile product {product}", cap, combinations)
+
+    previous: list[int | None] = [None] * instance.n
+    if one_per_orbit:
+        last: dict = {}
+        for j, pair in enumerate(instance.terminals):
+            previous[j] = last.get(pair)
+            last[pair] = j
+    return list(feasible_profiles(instance, option_lists, previous))
 
 
 def enumerate_profiles(
     instance: GameInstance, cap: int = DEFAULT_PATH_CAP
 ) -> list[StrategyProfile]:
-    """All feasible profiles, ordered lexicographically by per-agent path rank.
+    """All feasible profiles, ordered lexicographically by per-agent path rank."""
+    return _feasible_profiles(instance, cap, one_per_orbit=False)
 
-    Guards both the per-agent path counts and the product of the counts with
-    ``cap``; beyond that the instance is declared too large for exhaustive
-    work. Assembly prunes capacity overloads as agents are assigned, so only
-    feasible profiles are materialized.
+
+def enumerate_orbits(
+    instance: GameInstance, cap: int = DEFAULT_PATH_CAP
+) -> list[tuple[StrategyProfile, int]]:
+    """One feasible profile per orbit, with the orbit's size.
+
+    An orbit is the set of profiles reached by permuting agents that share a
+    terminal pair. Each comes out as its lexicographically first ordered
+    member (ranks non-decreasing within each such class), and the orbits come
+    out in the order of those members. The size is the multinomial
+    coefficient: the product of the class sizes' factorials over the product
+    of the factorials of how often each (terminal pair, path) repeats.
+    ``cap`` still bounds the ordered profile product.
     """
-    option_lists = [instance.agent_paths(j, cap) for j in range(instance.n)]
-    combinations = prod((len(options) for options in option_lists), start=1)
-    if combinations > cap:
-        raise PathExplosion(cap, combinations)
+    arrangements = prod(factorial(size) for size in Counter(instance.terminals).values())
+    return [
+        (
+            profile,
+            arrangements
+            // prod(factorial(k) for k in Counter(zip(instance.terminals, profile.paths)).values()),
+        )
+        for profile in _feasible_profiles(instance, cap, one_per_orbit=True)
+    ]
 
-    caps = instance.capacities
-    loads: Counter[int] = Counter()
-    chosen: list[tuple[int, ...]] = []
-    out: list[StrategyProfile] = []
 
-    def assign(j: int) -> None:
-        if j == instance.n:
-            out.append(StrategyProfile(tuple(chosen)))
-            return
-        for path in option_lists[j]:
-            if any(loads[e] + 1 > caps[e] for e in path):
-                continue
-            for e in path:
-                loads[e] += 1
-            chosen.append(path)
-            assign(j + 1)
-            chosen.pop()
-            for e in path:
-                loads[e] -= 1
+class _CostedOrbit(NamedTuple):
+    profile: StrategyProfile
+    size: int
+    sum_cost: Cost
+    max_cost: Cost
 
-    assign(0)
+
+def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
+    """Every orbit with both social costs, taken from one agent-cost vector.
+
+    Social costs, Nash membership and potentials are the same for every
+    member of an orbit, so the representatives stand for the whole orbit.
+    """
+    out = []
+    for profile, size in enumerate_orbits(instance, cap):
+        costs = [agent_cost(instance, profile, agent) for agent in range(instance.n)]
+        out.append(_CostedOrbit(profile, size, sum(costs, Fraction(0)), max(costs, default=Fraction(0))))
     return out
 
 
+def _social_cost(criterion: Criterion):
+    return attrgetter("sum_cost" if criterion is Criterion.SUM else "max_cost")
+
+
+def _first_minimum(
+    orbits: list[_CostedOrbit], criterion: Criterion
+) -> tuple[StrategyProfile, Fraction]:
+    value = _social_cost(criterion)
+    best = min(orbits, key=value, default=None)  # min keeps the first of equals
+    if best is None or not is_finite(value(best)):
+        raise InternalAssertion("certified-feasible instance has no feasible profile")
+    return best.profile, value(best)
+
+
 def optimal_profile(
-    instance: GameInstance,
-    criterion: Criterion,
-    cap: int = DEFAULT_PATH_CAP,
-    profiles: list[StrategyProfile] | None = None,
+    instance: GameInstance, criterion: Criterion, cap: int = DEFAULT_PATH_CAP
 ) -> tuple[StrategyProfile, Fraction]:
     """Global minimizer of the social cost; ties go to enumeration order."""
-    pool = enumerate_profiles(instance, cap) if profiles is None else profiles
-    best: StrategyProfile | None = None
-    best_value: Cost = INFINITY
-    for profile in pool:
-        value = social_cost(instance, profile, criterion)
-        if best is None or value < best_value:
-            best, best_value = profile, value
-    if best is None or not is_finite(best_value):
-        raise InternalAssertion("certified-feasible instance has no feasible profile")
-    return best, best_value
+    return _first_minimum(_costed_orbits(instance, cap), criterion)
 
 
 @dataclass(frozen=True)
@@ -120,38 +148,30 @@ class EquilibriumSet:
     total_count: int
 
     def extreme(self, criterion: Criterion, worst: bool) -> EquilibriumSummary:
-        key = (lambda e: e.sum_cost) if criterion is Criterion.SUM else (lambda e: e.max_cost)
         pick = max if worst else min
-        return pick(self.entries, key=key)
+        return pick(self.entries, key=_social_cost(criterion))
+
+
+def _equilibria(instance: GameInstance, orbits: list[_CostedOrbit]) -> EquilibriumSet:
+    entries = tuple(
+        EquilibriumSummary(
+            profile=orbit.profile,
+            multiplicity=orbit.size,
+            sum_cost=orbit.sum_cost,
+            max_cost=orbit.max_cost,
+            potential=potential(instance, orbit.profile),
+        )
+        for orbit in orbits
+        if is_nash(instance, orbit.profile)
+    )
+    if instance.n > 0 and not entries:
+        raise InternalAssertion("a feasible game must have a Nash equilibrium")
+    return EquilibriumSet(entries, sum(entry.multiplicity for entry in entries))
 
 
 def all_nash(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> EquilibriumSet:
     """Exactly the feasible profiles that pass the no-regret test."""
-    ordered = [p for p in enumerate_profiles(instance, cap) if is_nash(instance, p)]
-    if instance.n > 0 and not ordered:
-        raise InternalAssertion("a feasible game must have a Nash equilibrium")
-
-    groups: dict[tuple, tuple[StrategyProfile, int]] = {}
-    for profile in ordered:
-        labelled = sorted(
-            zip(instance.terminals, profile.paths),
-            key=lambda item: (repr(item[0]), item[1]),
-        )
-        key = tuple(labelled)
-        kept, count = groups.get(key, (profile, 0))
-        groups[key] = (kept, count + 1)
-
-    entries = tuple(
-        EquilibriumSummary(
-            profile=profile,
-            multiplicity=count,
-            sum_cost=sum_cost(instance, profile),
-            max_cost=max_cost(instance, profile),
-            potential=potential(instance, profile),
-        )
-        for profile, count in groups.values()
-    )
-    return EquilibriumSet(entries, len(ordered))
+    return _equilibria(instance, _costed_orbits(instance, cap))
 
 
 @dataclass(frozen=True)
@@ -205,10 +225,10 @@ def compute_ratios(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Analy
     is unbounded there); stability bounds apply everywhere, with the n^2
     variant for asymmetric games.
     """
-    profiles = enumerate_profiles(instance, cap)
-    opt_sc = optimal_profile(instance, Criterion.SUM, cap, profiles)
-    opt_mc = optimal_profile(instance, Criterion.MAX, cap, profiles)
-    equilibria = all_nash(instance, cap)
+    orbits = _costed_orbits(instance, cap)
+    opt_sc = _first_minimum(orbits, Criterion.SUM)
+    opt_mc = _first_minimum(orbits, Criterion.MAX)
+    equilibria = _equilibria(instance, orbits)
 
     worst_sc = equilibria.extreme(Criterion.SUM, worst=True)
     best_sc = equilibria.extreme(Criterion.SUM, worst=False)
@@ -294,24 +314,16 @@ def verify_lemma_cost_bound(
     if not instance.symmetric:
         raise NotSymmetric("the per-agent cost bound needs shared terminals")
 
-    profiles = enumerate_profiles(instance, cap)
-    _, opt_value = optimal_profile(instance, Criterion.SUM, cap, profiles)
-    worst: Cost = Fraction(0)
-    witness: StrategyProfile | None = None
-    for profile in profiles:
-        if not is_nash(instance, profile):
-            continue
-        for agent in range(instance.n):
-            cost = agent_cost(instance, profile, agent)
-            if cost > worst:
-                worst = cost
-                witness = profile
-    holds = worst <= opt_value
+    orbits = _costed_orbits(instance, cap)
+    _, opt_value = _first_minimum(orbits, Criterion.SUM)
+    # an equilibrium's worst agent cost is its max-cost
+    worst = _equilibria(instance, orbits).extreme(Criterion.MAX, worst=True)
+    holds = worst.max_cost <= opt_value
     return BoundCheck(
         tag="Lem3:agent_cost<=opt_sc",
         description="equilibrium agent cost never exceeds the sum-cost optimum",
         bound=opt_value,
-        measured=worst,
+        measured=worst.max_cost,
         holds=holds,
-        witness=None if holds else witness,
+        witness=None if holds else worst.profile,
     )

@@ -13,17 +13,18 @@ class PathExplosion(CsglabError):
     """A path or profile enumeration exceeded its cap.
 
     The instance is too large for exhaustive analysis at the requested cap.
-    ``count`` is the offending count when it is known exactly (profile
-    products), otherwise None (enumeration aborted at cap + 1).
+    ``what`` names the enumeration that exploded. ``count`` is the offending
+    count when it is known exactly (profile products), otherwise None
+    (enumeration aborted at cap + 1).
     """
 
-    def __init__(self, cap: int, count: int | None = None):
+    def __init__(self, what: str, cap: int, count: int | None = None):
         self.cap = cap
         self.count = count
         if count is None:
-            super().__init__(f"enumeration exceeded cap of {cap}")
+            super().__init__(f"{what} exceeded the cap of {cap}")
         else:
-            super().__init__(f"enumeration would produce {count} items, cap is {cap}")
+            super().__init__(f"{what} = {count} exceeds the cap of {cap}")
 
 
 class SchemeViolation(CsglabError):

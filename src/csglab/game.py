@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import flows
 from .errors import (
@@ -268,9 +268,6 @@ class GameInstance:
     def capacities(self) -> dict[int, int]:
         return {e.id: self.schemes[e.id].capacity for e in self.graph.edges_by_id}
 
-    def scheme(self, edge_id: int) -> CostSharingScheme:
-        return self.schemes[edge_id]
-
     def st_paths(self, source: NodeId, sink: NodeId, cap: int | None = None) -> tuple[EdgePath, ...]:
         """Memoized simple-path enumeration between two nodes."""
         limit = self.path_cap if cap is None else cap
@@ -382,33 +379,50 @@ def _certify_feasible(instance: GameInstance) -> None:
 
 
 def _find_feasible_assignment(instance: GameInstance) -> StrategyProfile | None:
-    """Pruned backtracking search for one feasible profile (asymmetric games)."""
-    caps = instance.capacities
+    """First feasible profile in path-rank order, or None (asymmetric games)."""
     options = [instance.agent_paths(j) for j in range(instance.n)]
+    if not all(options):
+        return None
+    return next(feasible_profiles(instance, options, [None] * instance.n), None)
+
+
+def feasible_profiles(
+    instance: GameInstance,
+    options: Sequence[Sequence[EdgePath]],
+    previous: Sequence[int | None],
+) -> Iterator[StrategyProfile]:
+    """Feasible profiles by pruned backtracking, in lexicographic order of
+    per-agent path rank (the index into ``options[j]``).
+
+    Capacity overloads are pruned as agents are assigned. Agent j's rank
+    starts at the rank chosen for agent ``previous[j]``, or at 0 when that
+    is None.
+    """
+    caps = instance.capacities
     loads: Counter[int] = Counter()
+    ranks: list[int] = []
     chosen: list[EdgePath] = []
 
-    def assign(j: int) -> bool:
-        if j == instance.n:
-            return True
-        for path in options[j]:
+    def assign(j: int) -> Iterator[StrategyProfile]:
+        if j == len(options):
+            yield StrategyProfile(tuple(chosen))
+            return
+        lowest = 0 if previous[j] is None else ranks[previous[j]]
+        for rank in range(lowest, len(options[j])):
+            path = options[j][rank]
             if any(loads[e] + 1 > caps[e] for e in path):
                 continue
             for e in path:
                 loads[e] += 1
+            ranks.append(rank)
             chosen.append(path)
-            if assign(j + 1):
-                return True
+            yield from assign(j + 1)
             chosen.pop()
+            ranks.pop()
             for e in path:
                 loads[e] -= 1
-        return False
 
-    if not all(options):
-        return None
-    if assign(0):
-        return StrategyProfile(tuple(chosen))
-    return None
+    return assign(0)
 
 
 # --- costs, potential, equilibrium test --------------------------------------

@@ -171,12 +171,6 @@ def build_sp_graph(expr: SpExpression) -> Graph:
     return make_graph(nodes, edges, 0, 1)
 
 
-def sp_leaf_count(expr: SpExpression) -> int:
-    if isinstance(expr, EdgeLeaf):
-        return 1
-    return sp_leaf_count(expr.first) + sp_leaf_count(expr.second)
-
-
 # --- classification ---------------------------------------------------------
 
 
@@ -304,7 +298,7 @@ def enumerate_st_paths(
     def walk(node: NodeId) -> None:
         if node == dst:
             if len(results) >= cap:
-                raise PathExplosion(cap)
+                raise PathExplosion(f"simple path enumeration from node {src!r} to node {dst!r}", cap)
             results.append(tuple(prefix))
             return
         for edge in graph.outgoing.get(node, ()):

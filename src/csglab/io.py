@@ -182,7 +182,11 @@ def report_to_document(
     seeds: Mapping[str, Any] | None = None,
     wall_time_s: float | None = None,
 ) -> dict:
-    """Assemble the analysis report document; ``criterion`` filters ratios."""
+    """Assemble the analysis report document.
+
+    ``criterion`` filters optima, ratios and bound verdicts, and
+    ``all_bounds_hold`` counts only the verdicts the document shows.
+    """
     want_sc = criterion in ("both", "sc")
     want_mc = criterion in ("both", "mc")
     ratios: dict[str, Any] = {}
@@ -209,6 +213,7 @@ def report_to_document(
             return want_mc
         return True
 
+    shown = [c for c in report.bounds if tag_wanted(c.tag)]
     doc: dict[str, Any] = {
         "version": REPORT_VERSION,
         "graph_class": report.graph_class.value,
@@ -217,8 +222,8 @@ def report_to_document(
         "optima": optima,
         "equilibria": _equilibria_block(report.equilibria),
         "ratios": ratios,
-        "bounds": [_bound_block(c) for c in report.bounds if tag_wanted(c.tag)],
-        "all_bounds_hold": all(c.holds for c in report.bounds),
+        "bounds": [_bound_block(c) for c in shown],
+        "all_bounds_hold": all(c.holds for c in shown),
         "seeds": dict(seeds or {}),
     }
     if recipe is not None:

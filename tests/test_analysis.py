@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -6,15 +7,24 @@ from csglab.analysis import (
     Criterion,
     all_nash,
     compute_ratios,
+    enumerate_orbits,
     enumerate_profiles,
     optimal_profile,
     verify_lemma_cost_bound,
 )
 from csglab.dynamics import run_dynamics
 from csglab.errors import NotSeriesParallel, PathExplosion
-from csglab.game import make_instance, make_ordinary_scheme, max_cost, sum_cost
+from csglab.game import (
+    is_nash,
+    make_instance,
+    make_ordinary_scheme,
+    make_threshold_scheme,
+    max_cost,
+    potential,
+    sum_cost,
+)
 from csglab.graphs import GraphClass, make_graph
-from csglab.instances import crossed_dag, overhead_parallel, random_sp, two_link
+from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
 
 from helpers import oracle_feasible_profiles, oracle_is_nash
 
@@ -60,8 +70,127 @@ def test_enumerate_excludes_overloads():
 
 def test_enumerate_raises_on_product_explosion():
     inst = two_link(5)
-    with pytest.raises(PathExplosion):
+    with pytest.raises(PathExplosion) as info:
         enumerate_profiles(inst, cap=10)
+    assert str(info.value) == "ordered profile product 2×2×2×2×2 = 32 exceeds the cap of 10"
+    assert (info.value.cap, info.value.count) == (10, 32)
+    # the cap bounds the ordered product, not the 6 orbits
+    with pytest.raises(PathExplosion, match="2×2×2×2×2 = 32"):
+        enumerate_orbits(inst, cap=10)
+
+
+# --- orbits ------------------------------------------------------------------------
+
+
+def _mixed_terminal_game():
+    """Agents 0 and 2 share (s, t); agent 1 routes (s, a) between them."""
+    graph = make_graph(
+        ["s", "a", "t"],
+        [(0, "s", "a"), (1, "s", "a"), (2, "a", "t"), (3, "s", "t"), (4, "s", "t")],
+        "s",
+        "t",
+    )
+    schemes = {
+        0: make_ordinary_scheme(2, 2),
+        1: make_threshold_scheme(3, 3, 2),
+        2: make_ordinary_scheme(1, 2),
+        3: make_ordinary_scheme(4, 2),
+        4: make_ordinary_scheme(1, 1),
+    }
+    return make_instance(graph, schemes, [("s", "t"), ("s", "a"), ("s", "t")])
+
+
+def _orbit_pool():
+    """Symmetric SP games with binding capacities, all-distinct asymmetric
+    DAG games, and the mixed game whose class members are not adjacent."""
+    symmetric = [
+        random_sp(seed, 3 + seed % 2, cap_range=(1, 2), scheme_family="mixed")
+        for seed in range(7100, 7112)
+    ] + [two_link(4), overhead_parallel(3, EPS)]
+    asymmetric = []
+    seed = 7200
+    while len(asymmetric) < 8:
+        inst = random_asymmetric(seed, 3, scheme_family="mixed")
+        if len(set(inst.terminals)) == inst.n:
+            asymmetric.append(inst)
+        seed += 1
+    binding = [
+        inst
+        for inst in symmetric
+        if len(enumerate_profiles(inst)) < prod(len(inst.agent_paths(j)) for j in range(inst.n))
+    ]
+    assert len(binding) >= 6
+    return symmetric + asymmetric + [_mixed_terminal_game()]
+
+
+def _orbit_key(instance, profile):
+    return tuple(sorted(zip(map(repr, instance.terminals), profile.paths)))
+
+
+def _ordered_reference(instance):
+    """Optima and equilibria from every ordered profile, grouped up to permutation."""
+    profiles = enumerate_profiles(instance)
+    optima = {}
+    for criterion, cost in ((Criterion.SUM, sum_cost), (Criterion.MAX, max_cost)):
+        best = None
+        for profile in profiles:
+            value = cost(instance, profile)
+            if best is None or value < best[1]:
+                best = (profile, value)
+        optima[criterion] = best
+    groups: dict = {}
+    for profile in profiles:
+        if is_nash(instance, profile):
+            kept, count = groups.get(_orbit_key(instance, profile), (profile, 0))
+            groups[_orbit_key(instance, profile)] = (kept, count + 1)
+    entries = [
+        (p, count, sum_cost(instance, p), max_cost(instance, p), potential(instance, p))
+        for p, count in groups.values()
+    ]
+    return optima, entries, sum(count for _, count in groups.values())
+
+
+def test_enumerate_orbits_two_link_multinomials():
+    orbits = enumerate_orbits(two_link(5))
+    assert [size for _, size in orbits] == [1, 5, 10, 10, 5, 1]
+    assert [p.paths for p, _ in orbits] == [
+        tuple([(0,)] * (5 - k) + [(1,)] * k) for k in range(6)
+    ]
+
+
+def test_enumerate_orbits_partitions_ordered_profiles():
+    for inst in _orbit_pool():
+        groups: dict = {}
+        for profile in enumerate_profiles(inst):
+            groups.setdefault(_orbit_key(inst, profile), []).append(profile)
+        # each orbit is its first ordered member, in order, with its size
+        assert enumerate_orbits(inst) == [(members[0], len(members)) for members in groups.values()]
+
+
+def test_mixed_terminal_orbits_keep_classes_apart():
+    inst = _mixed_terminal_game()
+    orbits = enumerate_orbits(inst)
+    assert sum(size for _, size in orbits) == len(enumerate_profiles(inst))
+    # agent 1's path rank may fall below agent 0's; agent 2's may not
+    assert any(p.paths[1] == (0,) and p.paths[0] != (0, 2) for p, _ in orbits)
+    ranks = inst.agent_paths(0)
+    assert all(ranks.index(p.paths[0]) <= ranks.index(p.paths[2]) for p, _ in orbits)
+    assert {size for _, size in orbits} == {1, 2}
+
+
+def test_orbit_analysis_matches_ordered_reference():
+    for inst in _orbit_pool():
+        optima, entries, total = _ordered_reference(inst)
+        report = compute_ratios(inst)
+        assert report.opt_sc == optima[Criterion.SUM] == optimal_profile(inst, Criterion.SUM)
+        assert report.opt_mc == optima[Criterion.MAX] == optimal_profile(inst, Criterion.MAX)
+        for equilibria in (report.equilibria, all_nash(inst)):
+            got = [
+                (e.profile, e.multiplicity, e.sum_cost, e.max_cost, e.potential)
+                for e in equilibria.entries
+            ]
+            assert got == entries
+            assert equilibria.total_count == total
 
 
 # --- optima -----------------------------------------------------------------------

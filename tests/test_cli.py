@@ -1,7 +1,10 @@
+import dataclasses
 import json
+from fractions import Fraction
 
+from csglab.analysis import BoundCheck, compute_ratios
 from csglab.cli import main
-from csglab.io import canonical_json, instance_to_document
+from csglab.io import canonical_json, instance_to_document, report_to_document
 from csglab.instances import two_link
 
 
@@ -122,6 +125,52 @@ def test_analyze_explosion_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path), "--cap", "10")
     assert code == 3
     assert "cap" in err
+    assert "ordered profile product 2×2×2×2×2 = 32 exceeds the cap of 10" in err
+
+
+def test_analyze_path_explosion_names_the_nodes(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    run_cli(capsys, "gen", "two-link", "--n", "5", "--out", str(path))
+    code, _, err = run_cli(capsys, "analyze", str(path), "--cap", "1")
+    assert code == 3
+    assert "simple path enumeration from node 's' to node 't' exceeded the cap of 1" in err
+
+
+def _report_with_violated_mc_bound():
+    report = compute_ratios(two_link(3))
+    violated = BoundCheck(
+        tag="Thm9:PoA_mc<=n",
+        description="anarchy under max-cost on SP graphs",
+        bound=Fraction(1),
+        measured=report.poa_mc.value,
+        holds=False,
+        witness=report.equilibria.entries[-1].profile,
+    )
+    kept = tuple(c for c in report.bounds if c.tag != violated.tag)
+    assert all(c.holds for c in kept)
+    return dataclasses.replace(report, bounds=kept + (violated,))
+
+
+def test_report_counts_only_shown_bounds():
+    report = _report_with_violated_mc_bound()
+    sc_doc = report_to_document(report, criterion="sc")
+    assert all("_mc" not in b["tag"] for b in sc_doc["bounds"])
+    assert sc_doc["all_bounds_hold"] is True
+    for criterion in ("mc", "both"):
+        doc = report_to_document(report, criterion=criterion)
+        assert "Thm9:PoA_mc<=n" in [b["tag"] for b in doc["bounds"]]
+        assert doc["all_bounds_hold"] is False
+
+
+def test_analyze_exit_code_counts_only_shown_bounds(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "inst.json"
+    run_cli(capsys, "gen", "two-link", "--n", "3", "--out", str(path))
+    report = _report_with_violated_mc_bound()
+    monkeypatch.setattr("csglab.cli.compute_ratios", lambda instance, cap: report)
+    for criterion, expected in (("sc", 0), ("mc", 1), ("both", 1)):
+        code, out, _ = run_cli(capsys, "analyze", str(path), "--criterion", criterion, "--no-dynamics")
+        assert code == expected
+        assert json.loads(out)["all_bounds_hold"] is (expected == 0)
 
 
 def test_dynamics_from_sum_optimum(tmp_path, capsys):

@@ -138,8 +138,9 @@ def test_enumerate_unreachable_sink():
 
 def test_enumerate_respects_cap():
     g = make_graph(["s", "t"], [(i, "s", "t") for i in range(5)], "s", "t")
-    with pytest.raises(PathExplosion):
+    with pytest.raises(PathExplosion) as info:
         enumerate_st_paths(g, cap=4)
+    assert str(info.value) == "simple path enumeration from node 's' to node 't' exceeded the cap of 4"
     assert len(enumerate_st_paths(g, cap=5)) == 5
 
 
