@@ -88,6 +88,6 @@ from .instances import (
     random_sp,
     two_link,
 )
-from .rational import INFINITY, Cost, Infinity, Rational, as_decimal, format_rational, parse_rational
+from .rational import INFINITY, Cost, Infinity, as_decimal, format_rational, parse_rational
 
 __version__ = "0.1.0"

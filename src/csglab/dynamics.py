@@ -1,4 +1,4 @@
-"""Best responses, convergent deviation dynamics, and equilibrium rebuilding.
+"""Convergent deviation dynamics and equilibrium rebuilding.
 
 Only strictly improving moves are ever executed, so the potential drops at
 every step and every run terminates at a Nash equilibrium. The rebuild
@@ -21,18 +21,20 @@ from .errors import (
     ParameterViolation,
     StepCapExceeded,
 )
+# best_response and first_improvement are re-exported from game, next to is_nash
 from .game import (
-    Deviation,
     GameInstance,
     StrategyProfile,
+    _improving_move,
     agent_cost,
+    best_response,
+    first_improvement,
     is_feasible,
     max_cost,
     potential,
     sum_cost,
 )
 from .graphs import EdgePath
-from .rational import is_finite
 
 DEFAULT_STEP_CAP = 10_000
 
@@ -90,74 +92,6 @@ class DynamicsTrace:
 
     def potentials(self) -> tuple[Fraction, ...]:
         return (self.initial_potential,) + tuple(s.potential_after for s in self.steps)
-
-
-def _improving_move(
-    instance: GameInstance,
-    profile: StrategyProfile,
-    agent: int,
-    rule: str,
-) -> Deviation | None:
-    """Scan candidate paths in lexicographic order for a strict improvement.
-
-    Candidate weights: an edge already on the agent's path keeps its current
-    share; a foreign edge with spare capacity costs its share at load + 1; a
-    foreign edge at capacity blocks the candidate. Partial sums are compared
-    against the best known cost, so ties never replace an earlier candidate
-    and the winner is the lexicographically first cheapest path.
-    """
-    loads = profile.loads
-    caps = instance.capacities
-    schemes = instance.schemes
-    own = profile.edge_sets[agent]
-    current = agent_cost(instance, profile, agent)
-    if not is_finite(current):
-        raise InfeasibleProfile("deviation search requires a feasible profile")
-
-    best: Deviation | None = None
-    threshold = current
-    for candidate in instance.agent_paths(agent):
-        if candidate == profile.paths[agent]:
-            continue
-        cost = Fraction(0)
-        blocked = False
-        for edge_id in candidate:
-            if edge_id in own:
-                cost += schemes[edge_id].share(loads[edge_id])
-            else:
-                load = loads.get(edge_id, 0)
-                if load >= caps[edge_id]:
-                    blocked = True
-                    break
-                cost += schemes[edge_id].share(load + 1)
-            if cost >= threshold:
-                blocked = True
-                break
-        if blocked or cost >= threshold:
-            continue
-        move = Deviation(agent, profile.paths[agent], candidate, current, cost)
-        if rule == "first_improving":
-            return move
-        best = move
-        threshold = cost
-    return best
-
-
-def best_response(
-    instance: GameInstance, profile: StrategyProfile, agent: int
-) -> Deviation | None:
-    """Cheapest strictly improving path for one agent, or None when content.
-
-    The agent's current path is always available, so a feasible profile can
-    never leave an agent without options; ties favour staying put.
-    """
-    return _improving_move(instance, profile, agent, "best")
-
-
-def first_improvement(
-    instance: GameInstance, profile: StrategyProfile, agent: int
-) -> Deviation | None:
-    return _improving_move(instance, profile, agent, "first_improving")
 
 
 def run_dynamics(

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InfeasibleFlow, InternalAssertion, ParameterViolation
-from .graphs import EdgePath, Graph, NodeId
+from .graphs import EdgePath, Graph, NodeId, find_cycle, simple_paths
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ def _residual_search(
     sink: NodeId,
 ) -> tuple[ResidualArc, ...] | None:
     """Depth-first residual path, exploring arcs by lowest edge id first."""
-    path: list[tuple[ResidualArc, NodeId]] = []
-    visited: set[NodeId] = {source}
 
-    def arcs_from(node: NodeId):
+    def arcs(node: NodeId) -> list[tuple[ResidualArc, NodeId]]:
         forward = [
             (e.id, True, e.head)
             for e in graph.outgoing.get(node, ())
@@ -94,25 +92,9 @@ def _residual_search(
             for e in graph.incoming.get(node, ())
             if values.get(e.id, 0) > 0
         ]
-        return sorted(forward + backward)
+        return [(ResidualArc(eid, fwd), nxt) for eid, fwd, nxt in sorted(forward + backward)]
 
-    def walk(node: NodeId) -> bool:
-        if node == sink:
-            return True
-        for edge_id, fwd, nxt in arcs_from(node):
-            if nxt in visited:
-                continue
-            visited.add(nxt)
-            path.append((ResidualArc(edge_id, fwd), nxt))
-            if walk(nxt):
-                return True
-            path.pop()
-            visited.discard(nxt)
-        return False
-
-    if walk(source):
-        return tuple(arc for arc, _ in path)
-    return None
+    return next(simple_paths(source, sink, arcs), None)
 
 
 def augmenting_path(
@@ -204,45 +186,9 @@ def decompose_unit_paths(
 
 def _cancel_cycles(graph: Graph, work: dict[int, int]) -> None:
     while True:
-        cycle = _find_positive_cycle(graph, work)
+        cycle = find_cycle(graph, lambda edge_id: work[edge_id] > 0)
         if cycle is None:
             return
         slack = min(work[e] for e in cycle)
         for edge_id in cycle:
             work[edge_id] -= slack
-
-
-def _find_positive_cycle(graph: Graph, work: dict[int, int]) -> list[int] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph.nodes}
-    via: dict[NodeId, tuple[NodeId, int]] = {}
-
-    def walk(node: NodeId) -> list[int] | None:
-        color[node] = GRAY
-        for edge in graph.outgoing.get(node, ()):
-            if work[edge.id] <= 0:
-                continue
-            nxt = edge.head
-            if color[nxt] == GRAY:
-                cycle = [edge.id]
-                cur = node
-                while cur != nxt:
-                    prev, eid = via[cur]
-                    cycle.append(eid)
-                    cur = prev
-                cycle.reverse()
-                return cycle
-            if color[nxt] == WHITE:
-                via[nxt] = (node, edge.id)
-                found = walk(nxt)
-                if found is not None:
-                    return found
-        color[node] = BLACK
-        return None
-
-    for start in graph.nodes:
-        if color[start] == WHITE:
-            found = walk(start)
-            if found is not None:
-                return found
-    return None

@@ -37,8 +37,9 @@ from .graphs import (
     NodeId,
     classify,
     enumerate_st_paths,
+    simple_paths,
 )
-from .rational import INFINITY, Cost
+from .rational import INFINITY, Cost, is_finite
 
 RationalLike = Union[int, Fraction]
 
@@ -50,7 +51,7 @@ RationalLike = Union[int, Fraction]
 class SchemeProblem:
     """One violated scheme property, identified by property id and table index."""
 
-    prop: str  # "1" non-increasing, "2" share floor, "3" solo price, "2'"/"3'" derived
+    prop: str  # "1" non-increasing, "2" share floor, "3" solo price
     index: int  # 1-based load at which the property fails
     detail: str
 
@@ -116,13 +117,6 @@ def validate_scheme(scheme: CostSharingScheme) -> tuple[SchemeProblem, ...]:
             problems.append(
                 SchemeProblem("2", x, f"share {shares[x-1]} at load {x} is below {p}/{x}")
             )
-    if not problems:
-        # redundant derived checks: implied by (1)+(3) and by (2)
-        for x in range(1, scheme.capacity + 1):
-            if shares[x - 1] > p:
-                problems.append(SchemeProblem("3'", x, f"share exceeds base cost at load {x}"))
-            if x * shares[x - 1] < p:
-                problems.append(SchemeProblem("2'", x, f"aggregate below base cost at load {x}"))
     return tuple(problems)
 
 
@@ -400,29 +394,30 @@ def feasible_profiles(
     """
     caps = instance.capacities
     loads: Counter[int] = Counter()
-    ranks: list[int] = []
+    ranks: list[int] = []  # the rank chosen for each assigned agent
     chosen: list[EdgePath] = []
-
-    def assign(j: int) -> Iterator[StrategyProfile]:
+    rank = 0  # the next rank to try for agent len(ranks)
+    while True:
+        j = len(ranks)
         if j == len(options):
             yield StrategyProfile(tuple(chosen))
-            return
-        lowest = 0 if previous[j] is None else ranks[previous[j]]
-        for rank in range(lowest, len(options[j])):
+        elif rank < len(options[j]):
             path = options[j][rank]
             if any(loads[e] + 1 > caps[e] for e in path):
+                rank += 1
                 continue
             for e in path:
                 loads[e] += 1
             ranks.append(rank)
             chosen.append(path)
-            yield from assign(j + 1)
-            chosen.pop()
-            ranks.pop()
-            for e in path:
-                loads[e] -= 1
-
-    return assign(0)
+            if j + 1 < len(options):
+                rank = 0 if previous[j + 1] is None else ranks[previous[j + 1]]
+            continue
+        if not ranks:
+            return
+        rank = ranks.pop() + 1
+        for e in chosen.pop():
+            loads[e] -= 1
 
 
 # --- costs, potential, equilibrium test --------------------------------------
@@ -480,14 +475,80 @@ def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     return total
 
 
+def _improving_move(
+    instance: GameInstance,
+    profile: StrategyProfile,
+    agent: int,
+    rule: str,
+) -> Deviation | None:
+    """Scan candidate paths in lexicographic order for a strict improvement.
+
+    Candidate weights: an edge already on the agent's path keeps its current
+    share; a foreign edge with spare capacity costs its share at load + 1; a
+    foreign edge at capacity blocks the candidate. Partial sums are compared
+    against the best known cost, so ties never replace an earlier candidate
+    and the winner is the lexicographically first cheapest path.
+    """
+    loads = profile.loads
+    caps = instance.capacities
+    schemes = instance.schemes
+    own = profile.edge_sets[agent]
+    current = agent_cost(instance, profile, agent)
+    if not is_finite(current):
+        raise InfeasibleProfile("deviation search requires a feasible profile")
+
+    best: Deviation | None = None
+    threshold = current
+    for candidate in instance.agent_paths(agent):
+        if candidate == profile.paths[agent]:
+            continue
+        cost = Fraction(0)
+        blocked = False
+        for edge_id in candidate:
+            if edge_id in own:
+                cost += schemes[edge_id].share(loads[edge_id])
+            else:
+                load = loads.get(edge_id, 0)
+                if load >= caps[edge_id]:
+                    blocked = True
+                    break
+                cost += schemes[edge_id].share(load + 1)
+            if cost >= threshold:
+                blocked = True
+                break
+        if blocked or cost >= threshold:
+            continue
+        move = Deviation(agent, profile.paths[agent], candidate, current, cost)
+        if rule == "first_improving":
+            return move
+        best = move
+        threshold = cost
+    return best
+
+
+def best_response(
+    instance: GameInstance, profile: StrategyProfile, agent: int
+) -> Deviation | None:
+    """Cheapest strictly improving path for one agent, or None when content.
+
+    The agent's current path is always available, so a feasible profile can
+    never leave an agent without options; ties favour staying put.
+    """
+    return _improving_move(instance, profile, agent, "best")
+
+
+def first_improvement(
+    instance: GameInstance, profile: StrategyProfile, agent: int
+) -> Deviation | None:
+    return _improving_move(instance, profile, agent, "first_improving")
+
+
 def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
     """No-regret test; the witness (when falsy) is a strictly improving move."""
-    from . import dynamics  # deviation search lives with the dynamics code
-
     if not is_feasible(instance, profile):
         raise InfeasibleProfile("equilibrium test requires a feasible profile")
     for agent in range(len(profile)):
-        deviation = dynamics.best_response(instance, profile, agent)
+        deviation = best_response(instance, profile, agent)
         if deviation is not None:
             return NashResult(deviation)
     return NashResult(None)
@@ -528,31 +589,17 @@ def feasible_extension(
     small_loads = profile_small.loads
     graph = instance.graph
 
-    # forward residual arcs: edges the big profile uses strictly more often
-    path: list[int] = []
-    visited: set[NodeId] = {graph.source}
+    def arcs(node: NodeId) -> Iterator[tuple[int, NodeId]]:
+        # forward residual arcs: edges the big profile uses strictly more often
+        for edge in graph.outgoing[node]:
+            if small_loads.get(edge.id, 0) < big_loads.get(edge.id, 0):
+                yield edge.id, edge.head
 
-    def walk(node: NodeId) -> bool:
-        if node == graph.sink:
-            return True
-        for edge in graph.outgoing.get(node, ()):
-            if small_loads.get(edge.id, 0) >= big_loads.get(edge.id, 0):
-                continue
-            if edge.head in visited:
-                continue
-            visited.add(edge.head)
-            path.append(edge.id)
-            if walk(edge.head):
-                return True
-            path.pop()
-            visited.discard(edge.head)
-        return False
-
-    if not walk(graph.source):
+    found = next(simple_paths(graph.source, graph.sink, arcs), None)
+    if found is None:
         raise InternalAssertion(
             "no extension path found on a series-parallel graph; this should be impossible"
         )
-    found = tuple(path)
     extended = StrategyProfile(profile_small.paths + (found,))
     if not is_feasible(instance, extended):
         raise InternalAssertion("extension path broke feasibility")

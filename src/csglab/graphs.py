@@ -10,12 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
 
 from .errors import ParameterViolation, PathExplosion
 
 NodeId = Union[int, str]
 EdgePath = tuple[int, ...]
+Label = TypeVar("Label")
 
 DEFAULT_PATH_CAP = 10_000
 
@@ -152,22 +153,19 @@ def build_sp_graph(expr: SpExpression) -> Graph:
     """
     nodes: list[NodeId] = [0, 1]
     edges: list[Edge] = []
-
-    def emit(part: SpExpression, tail: NodeId, head: NodeId) -> None:
+    pending: list[tuple[SpExpression, NodeId, NodeId]] = [(expr, 0, 1)]
+    while pending:
+        part, tail, head = pending.pop()
         if isinstance(part, EdgeLeaf):
             edges.append(Edge(len(edges), tail, head))
         elif isinstance(part, Series):
             middle = len(nodes)
             nodes.append(middle)
-            emit(part.first, tail, middle)
-            emit(part.second, middle, head)
+            pending += [(part.second, middle, head), (part.first, tail, middle)]
         elif isinstance(part, Parallel):
-            emit(part.first, tail, head)
-            emit(part.second, tail, head)
+            pending += [(part.second, tail, head), (part.first, tail, head)]
         else:
             raise ParameterViolation(f"not an SP expression node: {part!r}")
-
-    emit(expr, 0, 1)
     return make_graph(nodes, edges, 0, 1)
 
 
@@ -181,41 +179,13 @@ def classify(graph: Graph) -> GraphClass:
     fixpoint; the graph is SP exactly when it collapses to the single edge
     source->sink with no leftover nodes.
     """
-    if _has_cycle(graph):
+    if find_cycle(graph, lambda edge_id: True) is not None:
         return GraphClass.GENERAL
     if _is_parallel_link(graph):
         return GraphClass.PARALLEL_LINK
     if _reduces_to_single_edge(graph):
         return GraphClass.SERIES_PARALLEL
     return GraphClass.DAG
-
-
-def _has_cycle(graph: Graph) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph.nodes}
-
-    for start in graph.nodes:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[NodeId, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack.pop()
-            advanced = False
-            out = graph.outgoing.get(node, ())
-            for i in range(idx, len(out)):
-                nxt = out[i].head
-                if color[nxt] == GRAY:
-                    return True
-                if color[nxt] == WHITE:
-                    stack.append((node, i + 1))
-                    stack.append((nxt, 0))
-                    color[nxt] = GRAY
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-    return False
 
 
 def _is_parallel_link(graph: Graph) -> bool:
@@ -268,6 +238,77 @@ def _reduces_to_single_edge(graph: Graph) -> bool:
     return nodes == {s, t} and pairs == [(s, t)]
 
 
+# --- searches ---------------------------------------------------------------
+#
+# Both searches keep their own stack, so neither path length nor graph size
+# is bounded by the interpreter's recursion limit.
+
+
+def simple_paths(
+    source: NodeId,
+    sink: NodeId,
+    arcs: Callable[[NodeId], Iterable[tuple[Label, NodeId]]],
+) -> Iterator[tuple[Label, ...]]:
+    """Simple source->sink paths in depth-first order, as tuples of arc labels.
+
+    ``arcs(node)`` gives the (label, next node) pairs leaving ``node`` in the
+    order to try them; it is called each time the search steps onto the node.
+    """
+    labels: list[Label] = []
+    visited: set[NodeId] = {source}
+    stack = [(source, iter(arcs(source)))]
+    while stack:
+        node, out = stack[-1]
+        for label, nxt in out:
+            if nxt in visited:
+                continue
+            if nxt == sink:
+                yield (*labels, label)
+                continue
+            labels.append(label)
+            visited.add(nxt)
+            stack.append((nxt, iter(arcs(nxt))))
+            break
+        else:
+            stack.pop()
+            visited.discard(node)
+            if labels:
+                labels.pop()
+
+
+def find_cycle(graph: Graph, usable: Callable[[int], bool]) -> list[int] | None:
+    """Edge ids of the first directed cycle met by a three-colour DFS, or None.
+
+    Only edges whose id passes ``usable`` are walked. Start nodes are tried in
+    node order and edges in id order, so the cycle found is deterministic.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(graph.nodes, WHITE)
+    for start in graph.nodes:
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        # (node, id of the edge that entered it, its remaining outgoing edges)
+        stack = [(start, None, iter(graph.outgoing[start]))]
+        while stack:
+            node, _, out = stack[-1]
+            for edge in out:
+                if not usable(edge.id):
+                    continue
+                nxt = edge.head
+                if color[nxt] == GRAY:
+                    depth = next(i for i, (v, _, _) in enumerate(stack) if v == nxt)
+                    return [entered for _, entered, _ in stack[depth + 1 :]] + [edge.id]
+                if color[nxt] == WHITE:
+                    color[nxt] = GRAY
+                    stack.append((nxt, edge.id, iter(graph.outgoing[nxt])))
+                    break
+            else:
+                color[node] = BLACK
+                stack.pop()
+    return None
+
+
 # --- path enumeration -------------------------------------------------------
 
 
@@ -292,25 +333,10 @@ def enumerate_st_paths(
         raise ParameterViolation("path endpoints must differ")
 
     results: list[EdgePath] = []
-    prefix: list[int] = []
-    visited: set[NodeId] = {src}
-
-    def walk(node: NodeId) -> None:
-        if node == dst:
-            if len(results) >= cap:
-                raise PathExplosion(f"simple path enumeration from node {src!r} to node {dst!r}", cap)
-            results.append(tuple(prefix))
-            return
-        for edge in graph.outgoing.get(node, ()):
-            if edge.head in visited:
-                continue
-            visited.add(edge.head)
-            prefix.append(edge.id)
-            walk(edge.head)
-            prefix.pop()
-            visited.discard(edge.head)
-
-    walk(src)
+    for path in simple_paths(src, dst, lambda node: ((e.id, e.head) for e in graph.outgoing[node])):
+        if len(results) >= cap:
+            raise PathExplosion(f"simple path enumeration from node {src!r} to node {dst!r}", cap)
+        results.append(path)
     return results
 
 

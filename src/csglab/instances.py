@@ -127,12 +127,21 @@ def two_link(n: int) -> GameInstance:
 
 
 def _random_sp_expression(rng: random.Random, depth: int) -> SpExpression:
-    if depth == 0 or rng.random() < 0.3:
-        return EdgeLeaf()
-    kind = rng.choice((Series, Parallel))
-    return kind(
-        _random_sp_expression(rng, depth - 1), _random_sp_expression(rng, depth - 1)
-    )
+    # Draw the nodes in pre-order, the order in which they consume ``rng``,
+    # then assemble the tree from the end of that prefix sequence.
+    drawn: list[type | None] = []  # Series or Parallel, None for a leaf
+    pending = [depth]
+    while pending:
+        level = pending.pop()
+        if level == 0 or rng.random() < 0.3:
+            drawn.append(None)
+        else:
+            drawn.append(rng.choice((Series, Parallel)))
+            pending += [level - 1, level - 1]
+    built: list[SpExpression] = []
+    for kind in reversed(drawn):
+        built.append(EdgeLeaf() if kind is None else kind(built.pop(), built.pop()))
+    return built[0]
 
 
 def _random_cost(rng: random.Random, cost_range: tuple[int, int]) -> Fraction:

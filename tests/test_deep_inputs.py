@@ -1,0 +1,87 @@
+"""Long paths and many agents are not bounded by Python's recursion limit.
+
+Every input here is a little beyond the default limit of 1,000 frames: a
+search that recurses once per edge or once per agent fails on it.
+"""
+
+import json
+
+from csglab.cli import main
+from csglab.flows import decompose_unit_paths
+from csglab.game import feasible_extension, make_instance, make_ordinary_scheme
+from csglab.graphs import EdgeLeaf, build_sp_graph, make_graph, series
+
+LENGTH = 1200
+
+
+def path_graph(length):
+    return make_graph(range(length + 1), [(i, i, i + 1) for i in range(length)], 0, length)
+
+
+def analyze(tmp_path, capsys, doc):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code = main(["analyze", str(path)])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_analyze_long_path(tmp_path, capsys):
+    doc = {
+        "version": 1,
+        "agents": 1,
+        "nodes": list(range(LENGTH + 1)),
+        "source": 0,
+        "sink": LENGTH,
+        "edges": [
+            {"id": i, "tail": i, "head": i + 1, "cost": "1/1", "capacity": 1}
+            for i in range(LENGTH)
+        ],
+    }
+    code, report = analyze(tmp_path, capsys, doc)
+    assert code == 0
+    assert report["optima"]["sum_cost"]["profile"] == [list(range(LENGTH))]
+
+
+def test_analyze_many_agents_on_one_edge(tmp_path, capsys):
+    agents = 1100
+    doc = {
+        "version": 1,
+        "agents": agents,
+        "nodes": ["s", "t"],
+        "source": "s",
+        "sink": "t",
+        "edges": [{"id": 0, "tail": "s", "head": "t", "cost": "1/1", "capacity": agents}],
+    }
+    code, report = analyze(tmp_path, capsys, doc)
+    assert code == 0
+    assert report["optima"]["sum_cost"]["profile"] == [[0]] * agents
+
+
+def test_build_long_series():
+    graph = build_sp_graph(series(*[EdgeLeaf()] * LENGTH))
+    assert len(graph.edges) == LENGTH
+    # edge ids follow the pre-order of the leaves, so in id order they walk 0 -> 1
+    assert graph.edges[0].tail == 0 and graph.edges[-1].head == 1
+    assert [e.head for e in graph.edges[:-1]] == [e.tail for e in graph.edges[1:]]
+
+
+def test_feasible_extension_on_long_path():
+    graph = path_graph(LENGTH)
+    schemes = {i: make_ordinary_scheme(1, 2) for i in range(LENGTH)}
+    instance = make_instance(graph, schemes, 2, certify=False)
+    route = tuple(range(LENGTH))
+    big = instance.profile([route, route])
+    small = instance.partial_profile([route])
+    assert feasible_extension(instance, big, small) == route
+
+
+def test_decompose_long_path_flow_with_a_long_cycle():
+    graph = make_graph(
+        range(LENGTH + 1),
+        [(i, i, i + 1) for i in range(LENGTH)] + [(LENGTH, LENGTH, 0)],
+        0,
+        LENGTH,
+    )
+    # one unit along the path plus one unit circulating through the back edge
+    values = {i: 2 for i in range(LENGTH)} | {LENGTH: 1}
+    assert decompose_unit_paths(graph, values) == (tuple(range(LENGTH)),)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,6 +22,7 @@ from csglab.graphs import (
     build_sp_graph,
     classify,
     enumerate_st_paths,
+    make_graph,
 )
 from csglab.instances import random_sp
 from csglab.rational import format_rational, parse_rational
@@ -60,6 +62,39 @@ def test_sp_unit_capacity_flow_matches_min_parallel_width(expr, cap):
     graph = build_sp_graph(expr)
     flow = max_flow(graph, {e.id: cap for e in graph.edges})
     assert 1 <= flow.value <= cap * len(graph.outgoing[graph.source])
+
+
+@st.composite
+def small_digraphs(draw):
+    """Up to 5 nodes and 8 arcs in any direction: cycles and parallel arcs
+    occur, and edge ids are a random permutation of the arc order."""
+    size = draw(st.integers(min_value=2, max_value=5))
+    node = st.integers(min_value=0, max_value=size - 1)
+    arcs = draw(st.lists(st.tuples(node, node).filter(lambda a: a[0] != a[1]), max_size=8))
+    ids = draw(st.permutations(range(len(arcs))))
+    return make_graph(range(size), [(i, u, v) for i, (u, v) in zip(ids, arcs)], 0, size - 1)
+
+
+def brute_force_paths(graph):
+    """Every sequence of distinct edges that walks a simple source->sink path."""
+    found = []
+    for length in range(1, len(graph.nodes)):
+        for edges in permutations(graph.edges, length):
+            nodes = [edges[0].tail] + [e.head for e in edges]
+            if (
+                nodes[0] == graph.source
+                and nodes[-1] == graph.sink
+                and len(set(nodes)) == len(nodes)
+                and all(a.head == b.tail for a, b in zip(edges, edges[1:]))
+            ):
+                found.append(tuple(e.id for e in edges))
+    return sorted(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_digraphs())
+def test_enumerate_lists_simple_paths_in_lexicographic_order(graph):
+    assert enumerate_st_paths(graph) == brute_force_paths(graph)
 
 
 @settings(max_examples=80, deadline=None)
