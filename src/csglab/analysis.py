@@ -2,7 +2,9 @@
 
 Optima come from exhaustive search rather than flow optimization: under a
 general scheme the aggregate edge cost need not be convex in the load, so
-min-cost-flow shortcuts would be unsound. Everything is exact rationals.
+min-cost-flow shortcuts would be unsound. Everything is exact: orbits are
+costed in the instance's scaled integers, and optima and equilibrium
+statistics leave as Fractions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
-from .game import GameInstance, StrategyProfile, agent_cost, feasible_profiles, is_nash, potential
+from .game import GameInstance, StrategyProfile, _scaled_cost, feasible_profiles, is_nash, potential
 from .graphs import DEFAULT_PATH_CAP, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
@@ -86,8 +88,8 @@ def enumerate_orbits(
 class _CostedOrbit(NamedTuple):
     profile: StrategyProfile
     size: int
-    sum_cost: Cost
-    max_cost: Cost
+    sum_cost: int  # times instance.scale, as is max_cost
+    max_cost: int
 
 
 def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
@@ -98,8 +100,10 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
     """
     out = []
     for profile, size in enumerate_orbits(instance, cap):
-        costs = [agent_cost(instance, profile, agent) for agent in range(instance.n)]
-        out.append(_CostedOrbit(profile, size, sum(costs, Fraction(0)), max(costs, default=Fraction(0))))
+        costs = [_scaled_cost(instance, profile, agent) for agent in range(instance.n)]
+        if None in costs:
+            raise InternalAssertion("an enumerated feasible profile overloads an edge")
+        out.append(_CostedOrbit(profile, size, sum(costs), max(costs, default=0)))
     return out
 
 
@@ -108,20 +112,20 @@ def _social_cost(criterion: Criterion):
 
 
 def _first_minimum(
-    orbits: list[_CostedOrbit], criterion: Criterion
+    instance: GameInstance, orbits: list[_CostedOrbit], criterion: Criterion
 ) -> tuple[StrategyProfile, Fraction]:
     value = _social_cost(criterion)
     best = min(orbits, key=value, default=None)  # min keeps the first of equals
-    if best is None or not is_finite(value(best)):
+    if best is None:
         raise InternalAssertion("certified-feasible instance has no feasible profile")
-    return best.profile, value(best)
+    return best.profile, Fraction(value(best), instance.scale)
 
 
 def optimal_profile(
     instance: GameInstance, criterion: Criterion, cap: int = DEFAULT_PATH_CAP
 ) -> tuple[StrategyProfile, Fraction]:
     """Global minimizer of the social cost; ties go to enumeration order."""
-    return _first_minimum(_costed_orbits(instance, cap), criterion)
+    return _first_minimum(instance, _costed_orbits(instance, cap), criterion)
 
 
 @dataclass(frozen=True)
@@ -153,12 +157,13 @@ class EquilibriumSet:
 
 
 def _equilibria(instance: GameInstance, orbits: list[_CostedOrbit]) -> EquilibriumSet:
+    scale = instance.scale
     entries = tuple(
         EquilibriumSummary(
             profile=orbit.profile,
             multiplicity=orbit.size,
-            sum_cost=orbit.sum_cost,
-            max_cost=orbit.max_cost,
+            sum_cost=Fraction(orbit.sum_cost, scale),
+            max_cost=Fraction(orbit.max_cost, scale),
             potential=potential(instance, orbit.profile),
         )
         for orbit in orbits
@@ -226,8 +231,8 @@ def compute_ratios(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Analy
     variant for asymmetric games.
     """
     orbits = _costed_orbits(instance, cap)
-    opt_sc = _first_minimum(orbits, Criterion.SUM)
-    opt_mc = _first_minimum(orbits, Criterion.MAX)
+    opt_sc = _first_minimum(instance, orbits, Criterion.SUM)
+    opt_mc = _first_minimum(instance, orbits, Criterion.MAX)
     equilibria = _equilibria(instance, orbits)
 
     worst_sc = equilibria.extreme(Criterion.SUM, worst=True)
@@ -315,7 +320,7 @@ def verify_lemma_cost_bound(
         raise NotSymmetric("the per-agent cost bound needs shared terminals")
 
     orbits = _costed_orbits(instance, cap)
-    _, opt_value = _first_minimum(orbits, Criterion.SUM)
+    _, opt_value = _first_minimum(instance, orbits, Criterion.SUM)
     # an equilibrium's worst agent cost is its max-cost
     worst = _equilibria(instance, orbits).extreme(Criterion.MAX, worst=True)
     holds = worst.max_cost <= opt_value

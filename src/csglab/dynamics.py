@@ -26,6 +26,7 @@ from .game import (
     GameInstance,
     StrategyProfile,
     _improving_move,
+    _scaled_potential,
     agent_cost,
     best_response,
     first_improvement,
@@ -116,8 +117,9 @@ def run_dynamics(
             raise ParameterViolation("permutation must reorder exactly the agent indices")
 
     profile = start
-    pot = potential(instance, profile)
-    initial_potential = pot
+    scale = instance.scale
+    pot = _scaled_potential(instance, profile)
+    initial_potential = Fraction(pot, scale)
     steps: list[DynamicsStep] = []
 
     while True:
@@ -134,15 +136,20 @@ def run_dynamics(
                 continue
             if len(steps) >= step_cap:
                 raise StepCapExceeded(f"dynamics exceeded {step_cap} steps")
-            profile = profile.replace(agent, move.new_path)
-            new_pot = potential(instance, profile)
-            if new_pot - pot != move.delta:
+            new_path, old_cost, new_cost = move
+            old_path = profile.paths[agent]
+            profile = profile.replace(agent, new_path)
+            new_pot = _scaled_potential(instance, profile)
+            if new_pot - pot != new_cost - old_cost:
                 raise InternalAssertion(
-                    f"potential change {new_pot - pot} != cost change {move.delta}"
+                    f"potential change {Fraction(new_pot - pot, scale)}"
+                    f" != cost change {Fraction(new_cost - old_cost, scale)}"
                 )
             pot = new_pot
             steps.append(
-                DynamicsStep(agent, move.old_path, move.new_path, move.delta, new_pot)
+                DynamicsStep(
+                    agent, old_path, new_path, Fraction(new_cost - old_cost, scale), Fraction(new_pot, scale)
+                )
             )
             moved = True
         if not moved:

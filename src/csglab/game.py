@@ -6,8 +6,12 @@ the price each agent pays on an edge is the edge's tabulated share at the
 edge's current load, or infinite when any edge on the agent's path is
 loaded beyond capacity.
 
-Everything here is exact: shares, costs and potentials are Fractions, and
-equality tests (Nash membership, ratio checks) never tolerate rounding.
+Everything here is exact, and equality tests (Nash membership, ratio
+checks) never tolerate rounding. Shares are Fractions; the hot path (agent
+costs, potentials, the deviation scan) runs on integers: each instance
+scales its shares by one common denominator, the lcm of the denominators of
+every share an agent can meet. Values leave as ``Fraction(v, scale)``, so
+every public return value is still a Fraction.
 """
 
 from __future__ import annotations
@@ -16,6 +20,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from . import flows
@@ -39,7 +45,7 @@ from .graphs import (
     enumerate_st_paths,
     simple_paths,
 )
-from .rational import INFINITY, Cost, is_finite
+from .rational import INFINITY, Cost
 
 RationalLike = Union[int, Fraction]
 
@@ -262,6 +268,26 @@ class GameInstance:
     def capacities(self) -> dict[int, int]:
         return {e.id: self.schemes[e.id].capacity for e in self.graph.edges_by_id}
 
+    @cached_property
+    def scale(self) -> int:
+        """lcm of the share denominators at loads 1..min(capacity, n): a
+        profile of at most n paths meets no other share."""
+        return lcm(*{s.denominator for sch in self.schemes.values() for s in sch.shares[: self.n]})
+
+    @cached_property
+    def scaled_shares(self) -> dict[int, tuple[int, ...]]:
+        """scaled_shares[e][x] = scale * share of edge e at load x (0 at x = 0)."""
+        scale = self.scale
+        return {
+            eid: (0,) + tuple(scale // s.denominator * s.numerator for s in sch.shares[: self.n])
+            for eid, sch in self.schemes.items()
+        }
+
+    @cached_property
+    def scaled_prefix(self) -> dict[int, tuple[int, ...]]:
+        """scaled_prefix[e][x] = scale * (sum of edge e's shares at loads 1..x)."""
+        return {eid: tuple(accumulate(shares)) for eid, shares in self.scaled_shares.items()}
+
     def st_paths(self, source: NodeId, sink: NodeId, cap: int | None = None) -> tuple[EdgePath, ...]:
         """Memoized simple-path enumeration between two nodes."""
         limit = self.path_cap if cap is None else cap
@@ -428,18 +454,37 @@ def is_feasible(instance: GameInstance, profile: StrategyProfile) -> bool:
     return all(load <= caps[e] for e, load in profile.loads.items())
 
 
-def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
-    """Sum of shares along the agent's path, or INFINITY on any overload."""
+def _beyond_tables(instance: GameInstance, profile: StrategyProfile) -> MalformedProfile:
+    """The scaled tables stop at load n; only a profile of more than n paths
+    can ask for a share beyond it."""
+    return MalformedProfile(
+        f"profile has {len(profile.paths)} paths but the instance has {instance.n} agents"
+    )
+
+
+def _scaled_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> int | None:
+    """scale * the agent's cost, or None on any overload; MalformedProfile
+    where the cost needs a share beyond the tables."""
     loads = profile.loads
     caps = instance.capacities
+    shares = instance.scaled_shares
     path = profile.paths[agent]
-    for edge_id in path:
-        if loads[edge_id] > caps[edge_id]:
-            return INFINITY
-    total = Fraction(0)
-    for edge_id in path:
-        total += instance.schemes[edge_id].share(loads[edge_id])
+    total = 0
+    try:
+        for edge_id in path:
+            load = loads[edge_id]
+            if load > caps[edge_id]:
+                return None
+            total += shares[edge_id][load]
+    except IndexError:
+        raise _beyond_tables(instance, profile) from None
     return total
+
+
+def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
+    """Sum of shares along the agent's path, or INFINITY on any overload."""
+    cost = _scaled_cost(instance, profile, agent)
+    return INFINITY if cost is None else Fraction(cost, instance.scale)
 
 
 def sum_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
@@ -460,19 +505,28 @@ def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
     return worst
 
 
+def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
+    """scale * the potential; InfeasibleProfile on any overload."""
+    caps = instance.capacities
+    prefix = instance.scaled_prefix
+    total = 0
+    try:
+        for edge_id, load in profile.loads.items():
+            if load > caps[edge_id]:
+                raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
+            total += prefix[edge_id][load]
+    except IndexError:
+        raise _beyond_tables(instance, profile) from None
+    return total
+
+
 def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     """Sum over used edges of the share prefix up to the edge's load.
 
     A unilateral deviation changes this quantity by exactly the deviating
     agent's cost change, which is what makes best-response dynamics converge.
     """
-    caps = instance.capacities
-    total = Fraction(0)
-    for edge_id, load in profile.loads.items():
-        if load > caps[edge_id]:
-            raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
-        total += instance.schemes[edge_id].prefix_sums[load]
-    return total
+    return Fraction(_scaled_potential(instance, profile), instance.scale)
 
 
 def _improving_move(
@@ -480,50 +534,61 @@ def _improving_move(
     profile: StrategyProfile,
     agent: int,
     rule: str,
-) -> Deviation | None:
+) -> tuple[EdgePath, int, int] | None:
     """Scan candidate paths in lexicographic order for a strict improvement.
 
     Candidate weights: an edge already on the agent's path keeps its current
     share; a foreign edge with spare capacity costs its share at load + 1; a
     foreign edge at capacity blocks the candidate. Partial sums are compared
     against the best known cost, so ties never replace an earlier candidate
-    and the winner is the lexicographically first cheapest path.
+    and the winner is the lexicographically first cheapest path. Returns the
+    winner with the agent's current and new cost, both times ``scale``.
     """
+    if len(profile.paths) > instance.n:
+        raise _beyond_tables(instance, profile)
     loads = profile.loads
     caps = instance.capacities
-    schemes = instance.schemes
+    shares = instance.scaled_shares
     own = profile.edge_sets[agent]
-    current = agent_cost(instance, profile, agent)
-    if not is_finite(current):
+    current = _scaled_cost(instance, profile, agent)
+    if current is None:
         raise InfeasibleProfile("deviation search requires a feasible profile")
 
-    best: Deviation | None = None
+    best = None
     threshold = current
     for candidate in instance.agent_paths(agent):
         if candidate == profile.paths[agent]:
             continue
-        cost = Fraction(0)
-        blocked = False
+        cost = 0
         for edge_id in candidate:
             if edge_id in own:
-                cost += schemes[edge_id].share(loads[edge_id])
+                cost += shares[edge_id][loads[edge_id]]
             else:
                 load = loads.get(edge_id, 0)
                 if load >= caps[edge_id]:
-                    blocked = True
                     break
-                cost += schemes[edge_id].share(load + 1)
+                cost += shares[edge_id][load + 1]
             if cost >= threshold:
-                blocked = True
                 break
-        if blocked or cost >= threshold:
-            continue
-        move = Deviation(agent, profile.paths[agent], candidate, current, cost)
-        if rule == "first_improving":
-            return move
-        best = move
-        threshold = cost
+        else:
+            best = (candidate, current, cost)
+            if rule == "first_improving":
+                break
+            threshold = cost
     return best
+
+
+def _deviation(
+    instance: GameInstance, profile: StrategyProfile, agent: int, rule: str
+) -> Deviation | None:
+    move = _improving_move(instance, profile, agent, rule)
+    if move is None:
+        return None
+    new_path, old_cost, new_cost = move
+    scale = instance.scale
+    return Deviation(
+        agent, profile.paths[agent], new_path, Fraction(old_cost, scale), Fraction(new_cost, scale)
+    )
 
 
 def best_response(
@@ -534,13 +599,13 @@ def best_response(
     The agent's current path is always available, so a feasible profile can
     never leave an agent without options; ties favour staying put.
     """
-    return _improving_move(instance, profile, agent, "best")
+    return _deviation(instance, profile, agent, "best")
 
 
 def first_improvement(
     instance: GameInstance, profile: StrategyProfile, agent: int
 ) -> Deviation | None:
-    return _improving_move(instance, profile, agent, "first_improving")
+    return _deviation(instance, profile, agent, "first_improving")
 
 
 def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:

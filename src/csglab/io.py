@@ -74,28 +74,37 @@ def _scheme_to_json(scheme: CostSharingScheme):
     return {"table": [format_rational(s) for s in scheme.shares]}
 
 
-def instance_from_document(doc: Mapping[str, Any]) -> GameInstance:
+def instance_from_document(doc: Any) -> GameInstance:
+    if not isinstance(doc, Mapping):
+        raise InstanceFormatError(f"instance document must be a JSON object, got {type(doc).__name__}")
     try:
         return _parse_instance(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed instance document: {exc}") from exc
 
 
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer; floats, booleans and strings are rejected, not coerced."""
+    if type(value) is not int:
+        raise InstanceFormatError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
     if doc.get("version") != INSTANCE_VERSION:
         raise InstanceFormatError(f"unsupported instance version {doc.get('version')!r}")
     nodes = list(doc["nodes"])
+    ids = [_integer(e["id"], "edge id") for e in doc["edges"]]
     graph = make_graph(
         nodes,
-        [(int(e["id"]), e["tail"], e["head"]) for e in doc["edges"]],
+        [(eid, e["tail"], e["head"]) for eid, e in zip(ids, doc["edges"])],
         doc["source"],
         doc["sink"],
     )
     schemes: dict[int, CostSharingScheme] = {}
-    for entry in doc["edges"]:
-        eid = int(entry["id"])
+    for eid, entry in zip(ids, doc["edges"]):
         cost = parse_rational(str(entry["cost"]))
-        capacity = int(entry["capacity"])
+        capacity = _integer(entry["capacity"], f"edge {eid}: capacity")
         raw = entry.get("scheme", "ordinary")
         if raw == "ordinary":
             schemes[eid] = make_ordinary_scheme(cost, capacity)
@@ -105,8 +114,8 @@ def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
         else:
             raise InstanceFormatError(f"edge {eid}: unknown scheme form {raw!r}")
     agents = doc["agents"]
-    if isinstance(agents, int):
-        agent_arg: int | list = agents
+    if isinstance(agents, (int, float)):
+        agent_arg: int | list = _integer(agents, "agent count")
     else:
         agent_arg = [(a["source"], a["sink"]) for a in agents]
     return make_instance(graph, schemes, agent_arg)

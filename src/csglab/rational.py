@@ -1,9 +1,12 @@
 """Exact rational values and the absorbing infinite cost.
 
-All costs, shares and potentials in the package are ``fractions.Fraction``
-values; nothing is ever evaluated in floating point. ``INFINITY`` is the
-distinguished cost of an agent whose path overloads an edge: it absorbs
-addition and dominates every comparison.
+Every cost, share and potential the package hands out is a
+``fractions.Fraction``; nothing is ever evaluated in floating point. Inside,
+the hot path runs on integers scaled by one per-instance denominator (the lcm
+of the share denominators, see ``GameInstance.scale``), which is just as
+exact, and converts back with ``Fraction(value, scale)`` at every public
+boundary. ``INFINITY`` is the distinguished cost of an agent whose path
+overloads an edge: it absorbs addition and dominates every comparison.
 """
 
 from __future__ import annotations

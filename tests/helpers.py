@@ -10,8 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from csglab.game import GameInstance, StrategyProfile, agent_cost
+from csglab.game import Deviation, GameInstance, StrategyProfile, agent_cost
 from csglab.graphs import Graph
+from csglab.rational import INFINITY, Cost
 
 
 def oracle_paths(graph: Graph, source=None, sink=None) -> list[tuple[int, ...]]:
@@ -58,6 +59,36 @@ def oracle_is_nash(instance: GameInstance, profile: StrategyProfile) -> bool:
             if agent_cost(instance, rival, agent) < current:
                 return False
     return True
+
+
+def oracle_agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
+    """Shares summed straight from the schemes, INFINITY on any overload."""
+    loads = profile.loads
+    total = Fraction(0)
+    for edge_id in profile.paths[agent]:
+        scheme = instance.schemes[edge_id]
+        if loads[edge_id] > scheme.capacity:
+            return INFINITY
+        total += scheme.share(loads[edge_id])
+    return total
+
+
+def oracle_best_response(
+    instance: GameInstance, profile: StrategyProfile, agent: int
+) -> Deviation | None:
+    """Every path of the agent, costed by oracle_agent_cost, in lexicographic
+    order; the first strictly cheapest one wins."""
+    current = oracle_agent_cost(instance, profile, agent)
+    best = None
+    best_cost = current
+    s, t = instance.terminals[agent]
+    for path in oracle_paths(instance.graph, s, t):
+        cost = oracle_agent_cost(instance, profile.replace(agent, path), agent)
+        if cost < best_cost:
+            best, best_cost = path, cost
+    if best is None:
+        return None
+    return Deviation(agent, profile.paths[agent], best, current, best_cost)
 
 
 def oracle_potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:

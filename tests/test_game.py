@@ -12,6 +12,7 @@ from csglab.errors import (
 )
 from csglab.game import (
     agent_cost,
+    best_response,
     feasible_extension,
     is_feasible,
     is_nash,
@@ -272,3 +273,29 @@ def test_extension_fresh_path_case():
     path = feasible_extension(inst, big, small)
     assert set(path) <= big.used_edges
     assert is_feasible(inst, inst.partial_profile(small.paths + (path,)))
+
+
+# --- the scaled tables stop at load n -------------------------------------------
+
+
+def test_costs_reject_a_profile_with_more_paths_than_agents():
+    # capacity 3 admits load 2, but with one agent the tables stop at load 1
+    inst = single_edge_instance(cost=6, capacity=3, agents=1)
+    crowded = inst.partial_profile(((0,), (0,)))
+    message = "profile has 2 paths but the instance has 1 agents"
+    for evaluate in (
+        lambda: agent_cost(inst, crowded, 0),
+        lambda: sum_cost(inst, crowded),
+        lambda: max_cost(inst, crowded),
+        lambda: potential(inst, crowded),
+        lambda: best_response(inst, crowded, 0),
+        lambda: is_nash(inst, crowded),
+    ):
+        with pytest.raises(MalformedProfile, match=message):
+            evaluate()
+
+
+def test_feasibility_of_a_profile_with_more_paths_than_agents():
+    inst = single_edge_instance(cost=6, capacity=3, agents=1)
+    assert is_feasible(inst, inst.partial_profile(((0,),) * 3))
+    assert not is_feasible(inst, inst.partial_profile(((0,),) * 4))

@@ -8,10 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from csglab.flows import max_flow
 from csglab.game import (
+    StrategyProfile,
+    agent_cost,
+    best_response,
     feasible_extension,
     is_feasible,
+    is_nash,
+    make_instance,
     make_ordinary_scheme,
     make_scheme,
+    potential,
     validate_scheme,
 )
 from csglab.graphs import (
@@ -25,9 +31,15 @@ from csglab.graphs import (
     make_graph,
 )
 from csglab.instances import random_sp
-from csglab.rational import format_rational, parse_rational
+from csglab.rational import INFINITY, format_rational, parse_rational
 
-from helpers import oracle_extension_paths, oracle_feasible_profiles
+from helpers import (
+    oracle_agent_cost,
+    oracle_best_response,
+    oracle_extension_paths,
+    oracle_feasible_profiles,
+    oracle_potential,
+)
 
 
 @st.composite
@@ -154,3 +166,61 @@ def oracle_feasible_profiles_of_size(instance, agents):
         return [StrategyProfile(())]
     smaller = make_instance(instance.graph, instance.schemes, agents, certify=False)
     return oracle_feasible_profiles(smaller)
+
+
+# --- the integer cost kernel against Fraction oracles --------------------------
+
+DENOMINATORS = (1, 2, 3, 4, 5, 7, 9, 11, 13)  # pairwise-coprime ones among them
+
+
+@st.composite
+def parallel_links(draw):
+    expr = EdgeLeaf()
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        expr = Parallel(expr, EdgeLeaf())
+    return expr
+
+
+@st.composite
+def table_scheme(draw, agents):
+    """A valid share table built from one denominator q per edge: base cost
+    a/q, then each share k/q of the way from its floor base/x up to the
+    previous share. The capacity may exceed the agent count."""
+    q = draw(st.sampled_from(DENOMINATORS))
+    base = Fraction(draw(st.integers(min_value=0, max_value=12)), q)
+    capacity = draw(st.integers(min_value=1, max_value=agents + 1))
+    shares = [base]
+    for load in range(2, capacity + 1):
+        low = base / load
+        shares.append(low + (shares[-1] - low) * Fraction(draw(st.integers(0, q)), q))
+    return make_scheme(base, capacity, shares)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(parallel_links(), sp_expressions()), st.integers(min_value=1, max_value=3), st.data())
+def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
+    graph = build_sp_graph(expr)
+    schemes = {e.id: data.draw(table_scheme(agents)) for e in graph.edges_by_id}
+    inst = make_instance(graph, schemes, agents, certify=False)
+    paths = enumerate_st_paths(graph)
+    profiles = data.draw(
+        st.lists(st.tuples(*[st.sampled_from(paths)] * agents), min_size=1, max_size=10)
+    )
+    for paths_chosen in profiles:
+        profile = StrategyProfile(paths_chosen)
+        for agent in range(agents):
+            cost = agent_cost(inst, profile, agent)
+            assert cost == oracle_agent_cost(inst, profile, agent)
+            assert cost is INFINITY or type(cost) is Fraction
+        if not is_feasible(inst, profile):
+            continue
+        assert potential(inst, profile) == oracle_potential(inst, profile)
+        moves = [best_response(inst, profile, agent) for agent in range(agents)]
+        expected = [oracle_best_response(inst, profile, agent) for agent in range(agents)]
+        assert moves == expected
+        for move in moves:
+            if move is not None:
+                assert type(move.old_cost) is Fraction and type(move.new_cost) is Fraction
+        verdict = is_nash(inst, profile)
+        assert bool(verdict) == all(move is None for move in expected)
+        assert verdict.witness == next((m for m in expected if m is not None), None)
