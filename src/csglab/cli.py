@@ -17,6 +17,7 @@ from . import verification
 from .analysis import Criterion, compute_ratios, optimal_profile
 from .dynamics import DeviationPolicy, run_dynamics
 from .errors import (
+    GenerationFailed,
     InfeasibleGame,
     InfeasibleProfile,
     InstanceFormatError,
@@ -46,6 +47,7 @@ INPUT_ERRORS = (
     InfeasibleGame,
     InfeasibleProfile,
     SelfCheckFailed,
+    GenerationFailed,
 )
 
 

@@ -33,10 +33,6 @@ class ResidualArc:
     forward: bool
 
 
-def zero_flow(graph: Graph) -> Flow:
-    return Flow({e.id: 0 for e in graph.edges_by_id}, 0)
-
-
 def _validate_capacities(graph: Graph, capacities: Mapping[int, int]) -> None:
     for edge in graph.edges:
         cap = capacities.get(edge.id, 0)

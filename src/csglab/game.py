@@ -78,16 +78,6 @@ class CostSharingScheme:
     def share(self, load: int) -> Fraction:
         return self.shares[load - 1]
 
-    @cached_property
-    def prefix_sums(self) -> tuple[Fraction, ...]:
-        """prefix_sums[x] = sum of shares at loads 1..x (index 0 is zero)."""
-        acc = Fraction(0)
-        out = [acc]
-        for s in self.shares:
-            acc += s
-            out.append(acc)
-        return tuple(out)
-
     def scaled(self, factor: Fraction) -> "CostSharingScheme":
         if factor <= 0:
             raise ParameterViolation("scale factor must be positive")
@@ -168,11 +158,7 @@ def make_threshold_scheme(
     shares = tuple(
         p if x < full_share_at else p / x for x in range(1, capacity + 1)
     )
-    scheme = CostSharingScheme(p, capacity, shares)
-    problems = validate_scheme(scheme)
-    if problems:
-        raise SchemeViolation(problems)
-    return scheme
+    return CostSharingScheme(p, capacity, shares)
 
 
 def is_ordinary_scheme(scheme: CostSharingScheme) -> bool:
@@ -223,10 +209,6 @@ class Deviation:
     old_cost: Fraction
     new_cost: Fraction
 
-    @property
-    def delta(self) -> Fraction:
-        return self.new_cost - self.old_cost
-
 
 @dataclass(frozen=True)
 class NashResult:
@@ -252,7 +234,6 @@ class GameInstance:
     graph: Graph
     schemes: Mapping[int, CostSharingScheme]
     terminals: tuple[tuple[NodeId, NodeId], ...]
-    path_cap: int = DEFAULT_PATH_CAP
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -288,17 +269,19 @@ class GameInstance:
         """scaled_prefix[e][x] = scale * (sum of edge e's shares at loads 1..x)."""
         return {eid: tuple(accumulate(shares)) for eid, shares in self.scaled_shares.items()}
 
-    def st_paths(self, source: NodeId, sink: NodeId, cap: int | None = None) -> tuple[EdgePath, ...]:
-        """Memoized simple-path enumeration between two nodes."""
-        limit = self.path_cap if cap is None else cap
-        key = (source, sink, limit)
-        hit = self._cache.get(key)
+    def st_paths(self, source: NodeId, sink: NodeId, cap: int = DEFAULT_PATH_CAP) -> tuple[EdgePath, ...]:
+        """Memoized simple-path enumeration between two nodes.
+
+        A cached list is complete, so every later call reuses it whatever its
+        cap; ``cap`` only bounds the work of the first enumeration.
+        """
+        hit = self._cache.get((source, sink))
         if hit is None:
-            hit = tuple(enumerate_st_paths(self.graph, source, sink, cap=limit))
-            self._cache[key] = hit
+            hit = tuple(enumerate_st_paths(self.graph, source, sink, cap=cap))
+            self._cache[source, sink] = hit
         return hit
 
-    def agent_paths(self, agent: int, cap: int | None = None) -> tuple[EdgePath, ...]:
+    def agent_paths(self, agent: int, cap: int = DEFAULT_PATH_CAP) -> tuple[EdgePath, ...]:
         source, sink = self.terminals[agent]
         return self.st_paths(source, sink, cap)
 
@@ -342,7 +325,7 @@ class GameInstance:
     def scaled(self, factor: Fraction) -> "GameInstance":
         """Clone with every share table multiplied by a positive rational."""
         schemes = {eid: sch.scaled(factor) for eid, sch in self.schemes.items()}
-        return GameInstance(self.graph, schemes, self.terminals, self.path_cap)
+        return GameInstance(self.graph, schemes, self.terminals)
 
 
 def make_instance(
@@ -350,7 +333,6 @@ def make_instance(
     schemes: Mapping[int, CostSharingScheme],
     agents: int | Sequence[tuple[NodeId, NodeId]],
     *,
-    path_cap: int = DEFAULT_PATH_CAP,
     certify: bool = True,
 ) -> GameInstance:
     """Validate schemes and terminals, certify feasibility, freeze the instance.
@@ -380,7 +362,7 @@ def make_instance(
             if src == dst:
                 raise ParameterViolation(f"agent {j} has identical source and sink")
 
-    instance = GameInstance(graph, dict(schemes), terminals, path_cap)
+    instance = GameInstance(graph, dict(schemes), terminals)
     if certify and instance.n > 0:
         _certify_feasible(instance)
     return instance

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, TypeVar, Union
 
 from .errors import ParameterViolation, PathExplosion
 
@@ -175,9 +175,9 @@ def build_sp_graph(expr: SpExpression) -> Graph:
 def classify(graph: Graph) -> GraphClass:
     """Most restrictive class among parallel-link / SP / DAG / general.
 
-    Series-parallel recognition runs the series/parallel reduction to a
-    fixpoint; the graph is SP exactly when it collapses to the single edge
-    source->sink with no leftover nodes.
+    Series-parallel recognition runs the series/parallel reduction once, in
+    time linear in the graph; the graph is SP exactly when it collapses to
+    the single edge source->sink with no leftover nodes.
     """
     if find_cycle(graph, lambda edge_id: True) is not None:
         return GraphClass.GENERAL
@@ -195,47 +195,36 @@ def _is_parallel_link(graph: Graph) -> bool:
 
 
 def _reduces_to_single_edge(graph: Graph) -> bool:
+    """True when series and parallel reductions collapse an acyclic graph to
+    the single arc source->sink.
+
+    Each node keeps its sets of distinct predecessors and successors, so
+    parallel arcs merge as they appear. A worklist splices out every inner
+    node with one predecessor and one successor, then revisits both ends.
+    The reductions are confluent (Valdes, Tarjan and Lawler, 1982), so this
+    one pass reaches the same answer as any other order.
+    """
     if not graph.edges:
         return False
     s, t = graph.source, graph.sink
-    pairs = [(e.tail, e.head) for e in graph.edges]
-    nodes = set(graph.nodes)
-
-    changed = True
-    while changed:
-        changed = False
-        # parallel reduction: collapse duplicate (tail, head) pairs
-        seen: set[tuple[NodeId, NodeId]] = set()
-        kept: list[tuple[NodeId, NodeId]] = []
-        for pair in pairs:
-            if pair in seen:
-                changed = True
-                continue
-            seen.add(pair)
-            kept.append(pair)
-        pairs = kept
-        # series reduction: splice out a non-terminal degree-(1,1) node
-        indeg: dict[NodeId, list[int]] = {}
-        outdeg: dict[NodeId, list[int]] = {}
-        for idx, (tail, head) in enumerate(pairs):
-            outdeg.setdefault(tail, []).append(idx)
-            indeg.setdefault(head, []).append(idx)
-        for v in nodes:
-            if v in (s, t):
-                continue
-            ins = indeg.get(v, [])
-            outs = outdeg.get(v, [])
-            if len(ins) == 1 and len(outs) == 1:
-                u = pairs[ins[0]][0]
-                w = pairs[outs[0]][1]
-                if u == w:
-                    continue  # would create a self-loop; cannot happen acyclically
-                pairs = [p for i, p in enumerate(pairs) if i not in (ins[0], outs[0])]
-                pairs.append((u, w))
-                nodes.discard(v)
-                changed = True
-                break
-    return nodes == {s, t} and pairs == [(s, t)]
+    pred: dict[NodeId, set[NodeId]] = {v: set() for v in graph.nodes}
+    succ: dict[NodeId, set[NodeId]] = {v: set() for v in graph.nodes}
+    for edge in graph.edges:
+        succ[edge.tail].add(edge.head)
+        pred[edge.head].add(edge.tail)
+    work = list(graph.nodes)
+    while work:
+        v = work.pop()
+        if v == s or v == t or v not in pred or len(pred[v]) != 1 or len(succ[v]) != 1:
+            continue
+        (u,) = pred.pop(v)
+        (w,) = succ.pop(v)
+        succ[u].remove(v)
+        succ[u].add(w)
+        pred[w].remove(v)
+        pred[w].add(u)
+        work += [u, w]
+    return len(pred) == 2 and succ[s] == {t}
 
 
 # --- searches ---------------------------------------------------------------
@@ -338,13 +327,3 @@ def enumerate_st_paths(
             raise PathExplosion(f"simple path enumeration from node {src!r} to node {dst!r}", cap)
         results.append(path)
     return results
-
-
-def path_nodes(graph: Graph, path: Sequence[int]) -> list[NodeId]:
-    """Node sequence visited by an edge-id path (empty path -> [])."""
-    if not path:
-        return []
-    out: list[NodeId] = [graph.edge_map[path[0]].tail]
-    for edge_id in path:
-        out.append(graph.edge_map[edge_id].head)
-    return out

@@ -20,7 +20,6 @@ from .game import (
     is_nash,
     make_instance,
     make_ordinary_scheme,
-    make_scheme,
     make_threshold_scheme,
     max_cost,
     sum_cost,
@@ -152,7 +151,8 @@ def _random_cost(rng: random.Random, cost_range: tuple[int, int]) -> Fraction:
 def _random_valid_scheme(
     rng: random.Random, base_cost: Fraction, capacity: int
 ) -> CostSharingScheme:
-    """Sample a table, then clamp each entry into its admissible interval."""
+    """Sample a table, then clamp each entry into its admissible interval,
+    which makes it valid by construction."""
     shares: list[Fraction] = []
     for load in range(1, capacity + 1):
         if load == 1:
@@ -162,7 +162,7 @@ def _random_valid_scheme(
         high = shares[-1]
         weight = Fraction(rng.randint(0, 4), 4)
         shares.append(low + (high - low) * weight)
-    return make_scheme(base_cost, capacity, shares)
+    return CostSharingScheme(base_cost, capacity, tuple(shares))
 
 
 def _scheme_for(
@@ -203,26 +203,19 @@ def random_sp(
         raise ParameterViolation("bad capacity range")
 
     rng = random.Random(seed)
-    for _ in range(32):
-        expr = _random_sp_expression(rng, max_depth)
-        graph = build_sp_graph(expr)
-        capacities = {e.id: rng.randint(*cap_range) for e in graph.edges_by_id}
-        paths = enumerate_st_paths(graph)
-        bumps = 0
-        while flows.max_flow(graph, capacities).value < agents:
-            for edge_id in rng.choice(paths):
-                capacities[edge_id] += 1
-            bumps += 1
-            if bumps > 64:  # pragma: no cover - a single path bump suffices
-                break
-        if flows.max_flow(graph, capacities).value < agents:
-            continue
-        schemes = {
-            e.id: _scheme_for(rng, scheme_family, _random_cost(rng, cost_range), capacities[e.id])
-            for e in graph.edges_by_id
-        }
-        return make_instance(graph, schemes, agents)
-    raise GenerationFailed(f"could not build a feasible SP instance for seed {seed}")
+    graph = build_sp_graph(_random_sp_expression(rng, max_depth))
+    capacities = {e.id: rng.randint(*cap_range) for e in graph.edges_by_id}
+    paths = enumerate_st_paths(graph)
+    # every source->sink cut meets each path, so each bump raises the min cut
+    # by at least one and at most ``agents`` bumps are needed
+    while flows.max_flow(graph, capacities).value < agents:
+        for edge_id in rng.choice(paths):
+            capacities[edge_id] += 1
+    schemes = {
+        e.id: _scheme_for(rng, scheme_family, _random_cost(rng, cost_range), capacities[e.id])
+        for e in graph.edges_by_id
+    }
+    return make_instance(graph, schemes, agents)
 
 
 def random_asymmetric(

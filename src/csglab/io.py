@@ -21,7 +21,6 @@ from .game import (
     is_ordinary_scheme,
     make_instance,
     make_ordinary_scheme,
-    make_scheme,
     max_cost,
     potential,
     sum_cost,
@@ -109,8 +108,9 @@ def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
         if raw == "ordinary":
             schemes[eid] = make_ordinary_scheme(cost, capacity)
         elif isinstance(raw, Mapping) and "table" in raw:
-            table = [parse_rational(str(v)) for v in raw["table"]]
-            schemes[eid] = make_scheme(cost, capacity, table)
+            # validated with every other table by make_instance
+            table = tuple(parse_rational(str(v)) for v in raw["table"])
+            schemes[eid] = CostSharingScheme(cost, capacity, table)
         else:
             raise InstanceFormatError(f"edge {eid}: unknown scheme form {raw!r}")
     agents = doc["agents"]

@@ -2,8 +2,10 @@ import dataclasses
 import json
 from fractions import Fraction
 
+from csglab import instances
 from csglab.analysis import BoundCheck, compute_ratios
 from csglab.cli import main
+from csglab.errors import GenerationFailed
 from csglab.io import canonical_json, instance_to_document, report_to_document
 from csglab.instances import two_link
 
@@ -231,3 +233,44 @@ def test_verify_single_criterion(capsys):
 def test_verify_unknown_criterion(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "C99")
     assert code == 2
+
+
+def test_gen_random_sp_for_many_agents(capsys):
+    code, out, err = run_cli(capsys, "gen", "random-sp", "--n", "100", "--seed", "0")
+    assert code == 0, err
+    assert json.loads(out)["agents"] == 100
+
+
+def test_gen_generation_failure_exit_code(capsys, monkeypatch):
+    def give_up(seed, agents, **kwargs):
+        raise GenerationFailed(f"could not build an asymmetric DAG instance for seed {seed}")
+
+    monkeypatch.setattr(instances, "random_asymmetric", give_up)
+    code, _, err = run_cli(capsys, "gen", "random-asymmetric", "--seed", "5", "--n", "2")
+    assert code == 2
+    assert err == "error: could not build an asymmetric DAG instance for seed 5\n"
+
+
+def test_dynamics_cap_covers_the_deviation_scan(tmp_path, capsys):
+    # 14 stages of two parallel edges: one agent has 2**14 = 16,384 paths,
+    # more than the default cap but within --cap
+    stages = 14
+    doc = {
+        "version": 1,
+        "agents": 1,
+        "nodes": list(range(stages + 1)),
+        "source": 0,
+        "sink": stages,
+        "edges": [
+            {"id": 2 * i + k, "tail": i, "head": i + 1, "cost": f"{k + 1}/1", "capacity": 1}
+            for i in range(stages)
+            for k in (0, 1)
+        ],
+    }
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "dynamics", str(path), "--cap", "20000")
+    assert code == 0, err
+    trace = json.loads(out)
+    assert trace["step_count"] == 0
+    assert trace["terminal"]["paths"] == [list(range(0, 2 * stages, 2))]

@@ -1,15 +1,18 @@
 """Long paths and many agents are not bounded by Python's recursion limit.
 
 Every input here is a little beyond the default limit of 1,000 frames: a
-search that recurses once per edge or once per agent fails on it.
+search that recurses once per edge or once per agent fails on it. The
+classification test runs a much longer path against the clock: a reduction
+that does quadratic work on it takes minutes.
 """
 
 import json
+from time import perf_counter
 
 from csglab.cli import main
 from csglab.flows import decompose_unit_paths
 from csglab.game import feasible_extension, make_instance, make_ordinary_scheme
-from csglab.graphs import EdgeLeaf, build_sp_graph, make_graph, series
+from csglab.graphs import EdgeLeaf, GraphClass, build_sp_graph, classify, make_graph, series
 
 LENGTH = 1200
 
@@ -85,3 +88,10 @@ def test_decompose_long_path_flow_with_a_long_cycle():
     # one unit along the path plus one unit circulating through the back edge
     values = {i: 2 for i in range(LENGTH)} | {LENGTH: 1}
     assert decompose_unit_paths(graph, values) == (tuple(range(LENGTH)),)
+
+
+def test_classify_long_path_in_linear_time():
+    graph = path_graph(20_000)
+    started = perf_counter()
+    assert classify(graph) is GraphClass.SERIES_PARALLEL
+    assert perf_counter() - started < 2

@@ -10,7 +10,6 @@ from csglab.flows import (
     augmenting_path,
     decompose_unit_paths,
     max_flow,
-    zero_flow,
 )
 from csglab.graphs import make_graph
 from csglab.instances import crossed_dag, random_sp
@@ -63,7 +62,7 @@ def test_max_flow_invariant_under_relabeling():
 
 def test_augmenting_path_zero_flow_single_edge():
     g = single_edge()
-    arcs = augmenting_path(g, {0: 1}, zero_flow(g))
+    arcs = augmenting_path(g, {0: 1}, Flow({}, 0))
     assert arcs == (ResidualArc(0, True),)
 
 

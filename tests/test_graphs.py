@@ -11,7 +11,6 @@ from csglab.graphs import (
     enumerate_st_paths,
     make_graph,
     parallel,
-    path_nodes,
     series,
 )
 from csglab.instances import crossed_dag
@@ -143,8 +142,3 @@ def test_enumerate_respects_cap():
     assert str(info.value) == "simple path enumeration from node 's' to node 't' exceeded the cap of 4"
     assert len(enumerate_st_paths(g, cap=5)) == 5
 
-
-def test_path_nodes():
-    g = crossed_dag(1, 2).graph
-    assert path_nodes(g, (0, 3, 5)) == ["s", "a", "b", "t"]
-    assert path_nodes(g, ()) == []

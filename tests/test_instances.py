@@ -156,3 +156,12 @@ def test_recipe_dispatch():
     assert build_recipe(InstanceRecipe("random-asymmetric", {"seed": 3, "n": 2})).n == 2
     with pytest.raises(ParameterViolation):
         build_recipe(InstanceRecipe("mystery", {}))
+
+
+def test_random_sp_routes_many_agents():
+    # each capacity bump raises the min cut by at least one, so the bumps end
+    # however many agents there are
+    for seed in range(4):
+        inst = random_sp(seed, 100)
+        assert inst.n == 100
+        assert flows.max_flow(inst.graph, inst.capacities).value >= 100

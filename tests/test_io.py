@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from csglab import game
 from csglab.analysis import compute_ratios
 from csglab.dynamics import run_dynamics
 from csglab.errors import InstanceFormatError, ParameterViolation, SchemeViolation
@@ -126,3 +127,18 @@ def test_trace_document():
     assert doc["terminal"]["sum_cost"] == "7/3"  # n - 1 + 1/n at n = 3
     potentials = [step["potential_after"] for step in doc["steps"]]
     assert len(potentials) == len(set(potentials))
+
+
+def test_each_share_table_is_validated_once(monkeypatch):
+    checked = []
+    validate = game.validate_scheme
+    monkeypatch.setattr(game, "validate_scheme", lambda scheme: checked.append(scheme) or validate(scheme))
+    built = [overhead_parallel(4, Fraction(1, 100))]
+    built += [random_asymmetric(seed, 3, scheme_family="mixed") for seed in range(4)]
+    built += [random_sp(seed, 3, scheme_family="mixed") for seed in range(4)]
+    edges = sum(len(instance.graph.edges) for instance in built)
+    assert len(checked) == edges
+    checked.clear()
+    for instance in built:
+        instance_from_document(instance_to_document(instance))
+    assert len(checked) == edges

@@ -1,6 +1,7 @@
 """Property tests over randomly generated structures."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -28,6 +29,7 @@ from csglab.graphs import (
     build_sp_graph,
     classify,
     enumerate_st_paths,
+    find_cycle,
     make_graph,
 )
 from csglab.instances import random_sp
@@ -107,6 +109,112 @@ def brute_force_paths(graph):
 @given(small_digraphs())
 def test_enumerate_lists_simple_paths_in_lexicographic_order(graph):
     assert enumerate_st_paths(graph) == brute_force_paths(graph)
+
+
+def fixpoint_reduces_to_single_edge(graph):
+    """The series/parallel reduction as first written: rebuild the arc list
+    after every splice until nothing changes (quadratic, kept as the oracle)."""
+    if not graph.edges:
+        return False
+    s, t = graph.source, graph.sink
+    pairs = [(e.tail, e.head) for e in graph.edges]
+    nodes = set(graph.nodes)
+    changed = True
+    while changed:
+        changed = False
+        seen = set()
+        kept = []
+        for pair in pairs:
+            if pair in seen:
+                changed = True
+                continue
+            seen.add(pair)
+            kept.append(pair)
+        pairs = kept
+        indeg, outdeg = {}, {}
+        for idx, (tail, head) in enumerate(pairs):
+            outdeg.setdefault(tail, []).append(idx)
+            indeg.setdefault(head, []).append(idx)
+        for v in nodes:
+            if v in (s, t):
+                continue
+            ins = indeg.get(v, [])
+            outs = outdeg.get(v, [])
+            if len(ins) == 1 and len(outs) == 1:
+                u = pairs[ins[0]][0]
+                w = pairs[outs[0]][1]
+                if u == w:
+                    continue
+                pairs = [p for i, p in enumerate(pairs) if i not in (ins[0], outs[0])]
+                pairs.append((u, w))
+                nodes.discard(v)
+                changed = True
+                break
+    return nodes == {s, t} and pairs == [(s, t)]
+
+
+def oracle_classify(graph):
+    if find_cycle(graph, lambda edge_id: True) is not None:
+        return GraphClass.GENERAL
+    if set(graph.nodes) == {graph.source, graph.sink} and graph.edges and all(
+        (e.tail, e.head) == (graph.source, graph.sink) for e in graph.edges
+    ):
+        return GraphClass.PARALLEL_LINK
+    if fixpoint_reduces_to_single_edge(graph):
+        return GraphClass.SERIES_PARALLEL
+    return GraphClass.DAG
+
+
+def topological_order(graph):
+    waiting = Counter(e.head for e in graph.edges)
+    ready = [v for v in graph.nodes if not waiting[v]]
+    order = []
+    while ready:
+        order.append(ready.pop())
+        for edge in graph.outgoing[order[-1]]:
+            waiting[edge.head] -= 1
+            if not waiting[edge.head]:
+                ready.append(edge.head)
+    return order
+
+
+@st.composite
+def classifiable_digraphs(draw):
+    """Random multigraphs with parallel arcs, stray nodes and random terminals.
+
+    Half are built SP graphs, relabelled, that get at most one perturbation:
+    an extra forward arc, a stray node or new terminals."""
+    if draw(st.booleans()):
+        built = build_sp_graph(draw(sp_expressions(depth=4)))
+        change = draw(st.sampled_from(("none", "arc", "stray", "terminals")))
+        size = len(built.nodes) + (change == "stray")
+        rank = {v: i for i, v in enumerate(topological_order(built))}
+        arcs = [(rank[e.tail], rank[e.head]) for e in built.edges]
+        terminals = None if change == "terminals" else (0, len(built.nodes) - 1)
+        extras, acyclic = (1, 1) if change == "arc" else (0, 0), True
+    else:
+        size = draw(st.integers(min_value=2, max_value=7))
+        arcs, terminals, extras, acyclic = [], None, (0, 10), draw(st.booleans())
+    node = st.integers(min_value=0, max_value=size - 1)
+    extra = st.tuples(node, node).filter(lambda a: a[0] != a[1])
+    if acyclic:
+        extra = extra.map(sorted).map(tuple)  # every arc points to a later node
+    arcs += draw(st.lists(extra, min_size=extras[0], max_size=extras[1]))
+    if terminals is None:
+        terminals = draw(st.lists(node, min_size=2, max_size=2, unique=True))
+    names = draw(st.permutations(range(size)))
+    return make_graph(
+        [names[v] for v in range(size)],
+        [(i, names[u], names[v]) for i, (u, v) in enumerate(arcs)],
+        names[terminals[0]],
+        names[terminals[1]],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(classifiable_digraphs())
+def test_classify_agrees_with_the_fixpoint_reduction(graph):
+    assert classify(graph) is oracle_classify(graph)
 
 
 @settings(max_examples=80, deadline=None)

@@ -8,9 +8,11 @@ from csglab.game import (
     is_ordinary_scheme,
     make_ordinary_scheme,
     make_scheme,
+    make_instance,
     make_threshold_scheme,
     validate_scheme,
 )
+from csglab.graphs import make_graph
 
 
 def test_ordinary_table_values():
@@ -91,5 +93,11 @@ def test_scaling_preserves_validity():
 
 
 def test_prefix_sums():
-    scheme = make_ordinary_scheme(6, 3)
-    assert scheme.prefix_sums == (Fraction(0), Fraction(6), Fraction(9), Fraction(11))
+    # the potential's prefix sums live on the instance, scaled to integers
+    graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
+    three = make_instance(graph, {0: make_ordinary_scheme(1, 3)}, 3)
+    assert three.scale == 6
+    assert three.scaled_prefix[0] == (0, 6, 9, 11)  # 6 * (0, 1, 3/2, 11/6)
+    # loads never exceed the agent count, so the table stops there
+    two = make_instance(graph, {0: make_ordinary_scheme(1, 3)}, 2)
+    assert (two.scale, two.scaled_prefix[0]) == (2, (0, 2, 3))
