@@ -307,28 +307,19 @@ def _check(
     )
 
 
-def verify_lemma_cost_bound(
-    instance: GameInstance, cap: int = DEFAULT_PATH_CAP
-) -> BoundCheck:
+def verify_lemma_cost_bound(report: AnalysisReport) -> BoundCheck:
     """Every equilibrium agent pays at most the sum-cost optimum (SP only)."""
-    if classify(instance.graph) not in (
-        GraphClass.PARALLEL_LINK,
-        GraphClass.SERIES_PARALLEL,
-    ):
+    if report.graph_class not in (GraphClass.PARALLEL_LINK, GraphClass.SERIES_PARALLEL):
         raise NotSeriesParallel("the per-agent cost bound needs a series-parallel graph")
-    if not instance.symmetric:
+    if not report.symmetric:
         raise NotSymmetric("the per-agent cost bound needs shared terminals")
 
-    orbits = _costed_orbits(instance, cap)
-    _, opt_value = _first_minimum(instance, orbits, Criterion.SUM)
     # an equilibrium's worst agent cost is its max-cost
-    worst = _equilibria(instance, orbits).extreme(Criterion.MAX, worst=True)
-    holds = worst.max_cost <= opt_value
-    return BoundCheck(
-        tag="Lem3:agent_cost<=opt_sc",
-        description="equilibrium agent cost never exceeds the sum-cost optimum",
-        bound=opt_value,
-        measured=worst.max_cost,
-        holds=holds,
-        witness=None if holds else worst.profile,
+    worst = report.equilibria.extreme(Criterion.MAX, worst=True)
+    return _check(
+        "Lem3:agent_cost<=opt_sc",
+        "equilibrium agent cost never exceeds the sum-cost optimum",
+        report.opt_sc[1],
+        RatioValue(worst.max_cost),
+        worst.profile,
     )

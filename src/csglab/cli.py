@@ -1,9 +1,9 @@
 """Command line front end: gen / analyze / dynamics / verify.
 
 Exit codes: 0 success, 1 a claimed bound shown in the report was violated
-(or the verify suite failed), 2 bad input or parameters, 3 enumeration
-explosion. The default seed for random recipes comes from the CSGLAB_SEED
-environment variable.
+(or the verify suite failed), 2 bad input or parameters, 3 a cap was
+exceeded (an enumeration explosion or the dynamics step cap). The default
+seed for random recipes comes from the CSGLAB_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import time
 
 from . import verification
 from .analysis import Criterion, compute_ratios, optimal_profile
-from .dynamics import DeviationPolicy, run_dynamics
+from .dynamics import DEFAULT_STEP_CAP, DeviationPolicy, run_dynamics
 from .errors import (
     GenerationFailed,
     InfeasibleGame,
@@ -26,7 +26,9 @@ from .errors import (
     PathExplosion,
     SchemeViolation,
     SelfCheckFailed,
+    StepCapExceeded,
 )
+from .graphs import DEFAULT_PATH_CAP
 from .instances import InstanceRecipe, build_recipe
 from .io import (
     canonical_json,
@@ -215,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="exact optima, equilibria, ratios, bound verdicts")
     analyze.add_argument("instance", help="instance JSON path, or - for stdin")
     analyze.add_argument("--criterion", default="both", choices=["both", "sc", "mc"])
-    analyze.add_argument("--cap", type=int, default=10_000)
+    analyze.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
     analyze.add_argument("--no-dynamics", action="store_true", dest="no_dynamics")
     analyze.add_argument("--out", default=None)
     analyze.set_defaults(handler=cmd_analyze)
@@ -226,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     dynamics.add_argument("--policy", default="round-robin", choices=["round-robin", "random"])
     dynamics.add_argument("--rule", default="best", choices=["best", "first"])
     dynamics.add_argument("--seed", type=int, default=None)
-    dynamics.add_argument("--step-cap", type=int, default=10_000, dest="step_cap")
-    dynamics.add_argument("--cap", type=int, default=10_000)
+    dynamics.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP, dest="step_cap")
+    dynamics.add_argument("--cap", type=int, default=DEFAULT_PATH_CAP)
     dynamics.add_argument("--out", default=None)
     dynamics.set_defaults(handler=cmd_dynamics)
 
@@ -245,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except PathExplosion as exc:
+    except (PathExplosion, StepCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

@@ -108,6 +108,8 @@ def run_dynamics(
     A full pass with no executed move certifies the terminal profile is a
     Nash equilibrium.
     """
+    if step_cap < 0:
+        raise ParameterViolation(f"step cap must be non-negative, got {step_cap}")
     if not is_feasible(instance, start):
         raise InfeasibleProfile("dynamics must start from a feasible profile")
     rng = random.Random(policy.seed)

@@ -134,8 +134,8 @@ def profile_from_document(doc: Any, instance: GameInstance) -> StrategyProfile:
     if not isinstance(paths, list):
         raise InstanceFormatError("profile document must be a list of edge-id lists")
     try:
-        return instance.profile([tuple(int(e) for e in path) for path in paths])
-    except (TypeError, ValueError) as exc:
+        return instance.profile([tuple(_integer(e, "profile edge id") for e in path) for path in paths])
+    except TypeError as exc:
         raise InstanceFormatError(f"malformed profile document: {exc}") from exc
 
 

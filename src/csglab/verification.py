@@ -11,12 +11,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from . import dynamics as dyn
-from .analysis import Criterion, compute_ratios, enumerate_profiles, optimal_profile
+from .analysis import Criterion, compute_ratios, enumerate_profiles, optimal_profile, verify_lemma_cost_bound
 from .game import (
     GameInstance,
-    StrategyProfile,
     agent_cost,
     feasible_extension,
     is_feasible,
@@ -27,7 +27,7 @@ from .game import (
     sum_cost,
 )
 from .graphs import enumerate_st_paths
-from .instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
+from .instances import SCHEME_FAMILIES, InstanceRecipe, build_recipe, crossed_dag, overhead_parallel, two_link
 from .rational import format_rational
 
 EPS_DEFAULT = Fraction(1, 1000)
@@ -57,8 +57,26 @@ def _row(criterion, claim, instance, bound, measured, passed) -> CheckRow:
     return CheckRow(criterion, claim, instance, str(bound), str(measured), passed)
 
 
-def _frac(value) -> str:
-    return format_rational(value)
+def _worst(samples) -> str:
+    """The note of the largest ``(ratio, note)`` sample; the first of equals wins."""
+    worst = max(samples, key=itemgetter(0), default=None)
+    return "-" if worst is None else f"worst {worst[1]}"
+
+
+def _seeded_pool(
+    kind: str,
+    seed_base: int,
+    count: int,
+    sizes: tuple[int, ...] = (2, 3),
+    families: tuple[str, ...] = SCHEME_FAMILIES,
+    label: str = "{kind}(seed={seed},n={n},scheme={scheme})",
+) -> list[tuple[str, GameInstance]]:
+    """Labelled instances with seeds ``seed_base + i``, taking sizes and families in turn."""
+    pool = []
+    for i in range(count):
+        params = {"seed": seed_base + i, "n": sizes[i % len(sizes)], "scheme": families[i % len(families)]}
+        pool.append((label.format(kind=kind, **params), build_recipe(InstanceRecipe(kind, params))))
+    return pool
 
 
 # --- criterion 1: the crossing DAG family -------------------------------------
@@ -84,8 +102,8 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
                 "C1",
                 "PoA_sc == 4/5 + 2y/5x [Thm1]",
                 label,
-                _frac(poa_sc_formula),
-                _frac(report.poa_sc.value),
+                format_rational(poa_sc_formula),
+                format_rational(report.poa_sc.value),
                 report.poa_sc.value == poa_sc_formula,
             )
         )
@@ -100,8 +118,8 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
                 "C1",
                 "PoA_mc >= 2/3 + y/3x (== when crossing NE is worst) [Thm6]",
                 label,
-                _frac(poa_mc_formula),
-                _frac(report.poa_mc.value),
+                format_rational(poa_mc_formula),
+                format_rational(report.poa_mc.value),
                 lower_ok and equal_ok,
             )
         )
@@ -125,7 +143,7 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
             "PoA_sc strictly increases along y=x^2, x=1,10,100 [Thm1]",
             "fig2(y=x^2)",
             "increasing",
-            " < ".join(_frac(v) for v in sc_values),
+            " < ".join(format_rational(v) for v in sc_values),
             sc_values[0] < sc_values[1] < sc_values[2],
         )
     )
@@ -135,7 +153,7 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
             "PoA_mc strictly increases along y=x^2, x=1,10,100 [Thm6]",
             "fig2(y=x^2)",
             "increasing",
-            " < ".join(_frac(v) for v in mc_values),
+            " < ".join(format_rational(v) for v in mc_values),
             mc_values[0] < mc_values[1] < mc_values[2],
         )
     )
@@ -145,7 +163,7 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
             "PoA_sc exceeds 40 at x=100 [Thm1]",
             "fig2(x=100,y=10000)",
             "> 40",
-            _frac(sc_values[-1]),
+            format_rational(sc_values[-1]),
             sc_values[-1] > 40,
         )
     )
@@ -175,8 +193,8 @@ def criterion_2_overhead_parallel() -> list[CheckRow]:
                 "C2",
                 "equilibrium sum-cost == n - 1 + 1/n [Lem7]",
                 label,
-                _frac(ne_sum),
-                _frac(measured_sum),
+                format_rational(ne_sum),
+                format_rational(measured_sum),
                 measured_sum == ne_sum,
             )
         )
@@ -187,8 +205,8 @@ def criterion_2_overhead_parallel() -> list[CheckRow]:
                 "C2",
                 "PoS_sc == (n - 1 + 1/n)/(1 + eps) [Thm8]",
                 label,
-                _frac(pos_formula),
-                _frac(report.pos_sc.value),
+                format_rational(pos_formula),
+                format_rational(report.pos_sc.value),
                 report.pos_sc.value == pos_formula,
             )
         )
@@ -200,8 +218,8 @@ def criterion_2_overhead_parallel() -> list[CheckRow]:
                 "C2",
                 "ratio formula at eps=0 equals n + 1/n - 1 [Thm8]",
                 label,
-                _frac(limit_formula),
-                _frac(limit_value),
+                format_rational(limit_formula),
+                format_rational(limit_value),
                 limit_value == limit_formula,
             )
         )
@@ -216,130 +234,95 @@ def criterion_3_two_link() -> list[CheckRow]:
     for n in (2, 5):
         label = f"two-link(n={n})"
         report = compute_ratios(two_link(n))
-        rows.append(
-            _row("C3", "PoA_sc == n [Thm5]", label, _frac(Fraction(n)), _frac(report.poa_sc.value), report.poa_sc.value == n)
-        )
-        rows.append(
-            _row("C3", "PoA_mc == n [Thm9]", label, _frac(Fraction(n)), _frac(report.poa_mc.value), report.poa_mc.value == n)
-        )
+        for claim, ratio in (("PoA_sc == n [Thm5]", report.poa_sc), ("PoA_mc == n [Thm9]", report.poa_mc)):
+            value = ratio.value
+            rows.append(_row("C3", claim, label, format_rational(Fraction(n)), format_rational(value), value == n))
     return rows
 
 
-# --- criterion 4: series-parallel upper bounds ----------------------------------
+# --- criteria 4 and 5: the reports' own bound verdicts ---------------------------
 
 
-def _sp_pool(count: int, seed_base: int) -> list[tuple[str, GameInstance]]:
-    families = ("ordinary", "threshold", "random", "mixed")
-    pool = []
-    for i in range(count):
-        seed = seed_base + i
-        n = 2 + (i % 2)
-        family = families[i % len(families)]
-        label = f"random-sp(seed={seed},n={n},scheme={family})"
-        pool.append((label, random_sp(seed, n, scheme_family=family)))
-    return pool
+def _claim(tag: str) -> str:
+    """``"Thm5:PoA_sc<=n"`` reads ``"PoA_sc<=n [Thm5]"``."""
+    source, claim = tag.split(":")
+    return f"{claim} [{source}]"
+
+
+def _verdict_rows(criterion: str, suite: str, reports, tags: tuple[str, ...]) -> list[CheckRow]:
+    """One row per bound tag over ``(label, report)`` pairs.
+
+    A row passes only if every report carries the tag and its verdict holds,
+    so a verdict that ``compute_ratios`` drops fails the row too.
+    """
+    verdicts = [(label, {check.tag: check for check in report.bounds}) for label, report in reports]
+    rows = []
+    for tag in tags:
+        bound = tag.split("<=")[1]
+        checks = [(label, by_tag.get(tag)) for label, by_tag in verdicts]
+        worst = _worst(
+            (check.measured / check.bound, f"{format_rational(check.measured)} of {bound}={check.bound} @ {label}")
+            for label, check in checks
+            if check is not None
+        )
+        held = all(check is not None and check.holds for _, check in checks)
+        rows.append(_row(criterion, _claim(tag), suite, bound, worst, held))
+    return rows
+
+
+# the symmetric SP verdicts, in row order (sorted by claim text)
+SP_TAGS = ("Thm9:PoA_mc<=n", "Thm5:PoA_sc<=n", "Thm10:PoS_mc<=n", "Thm8:PoS_sc<=n")
 
 
 def criterion_4_sp_upper_bounds(count: int = 200) -> list[CheckRow]:
-    bounds_hit: dict[str, tuple[Fraction, str]] = {}
-    lemma_worst: tuple[Fraction, str] | None = None
+    pool = _seeded_pool("random-sp", 1000, count)
+    reports = [(label, compute_ratios(instance)) for label, instance in pool]
+    lemma = [(label, verify_lemma_cost_bound(report)) for label, report in reports]
     violations: list[str] = []
+    for (label, report), (_, check) in zip(reports, lemma):
+        violations += [
+            f"{_claim(bound.tag)} at {label}: {format_rational(bound.measured)}"
+            for bound in report.bounds
+            if not bound.holds
+        ]
+        if not check.holds:
+            violations.append(
+                f"Lem3 at {label}: agent pays {format_rational(check.measured)} > {format_rational(check.bound)}"
+            )
 
-    for label, instance in _sp_pool(count, 1000):
-        n = Fraction(instance.n)
-        report = compute_ratios(instance)
-        measured = {
-            "PoA_sc<=n [Thm5]": report.poa_sc.value,
-            "PoA_mc<=n [Thm9]": report.poa_mc.value,
-            "PoS_sc<=n [Thm8]": report.pos_sc.value,
-            "PoS_mc<=n [Thm10]": report.pos_mc.value,
-        }
-        for claim, value in measured.items():
-            if value > n:
-                violations.append(f"{claim} at {label}: {_frac(value)}")
-            ratio = value / n
-            prev = bounds_hit.get(claim)
-            if prev is None or ratio > prev[0]:
-                bounds_hit[claim] = (ratio, f"{_frac(value)} of n={instance.n} @ {label}")
-
-        # an equilibrium's worst agent cost is its max-cost
-        cost = report.equilibria.extreme(Criterion.MAX, worst=True).max_cost
-        opt_sc = report.opt_sc[1]
-        if cost > opt_sc:
-            violations.append(f"Lem3 at {label}: agent pays {_frac(cost)} > {_frac(opt_sc)}")
-        frac = cost / opt_sc if opt_sc else Fraction(0)
-        if lemma_worst is None or frac > lemma_worst[0]:
-            lemma_worst = (frac, f"{_frac(cost)} vs opt {_frac(opt_sc)} @ {label}")
-
-    rows = []
     suite = f"{count} random SP instances (n in 2..3)"
-    for claim, (ratio, note) in sorted(bounds_hit.items()):
-        ok = not any(claim.split(" ")[0] in v for v in violations)
-        rows.append(_row("C4", claim, suite, "n", f"worst {note}", ok))
-    lemma_ok = not any("Lem3" in v for v in violations)
-    note = lemma_worst[1] if lemma_worst else "no equilibria visited"
-    rows.append(_row("C4", "NE agent cost <= opt_sc [Lem3]", suite, "opt_sc", f"worst {note}", lemma_ok))
+    rows = _verdict_rows("C4", suite, reports, SP_TAGS)
+    worst = _worst(
+        (
+            check.measured / check.bound if check.bound else Fraction(0),
+            f"{format_rational(check.measured)} vs opt {format_rational(check.bound)} @ {label}",
+        )
+        for label, check in lemma
+    )
+    lemma_ok = all(check.holds for _, check in lemma)
+    rows.append(_row("C4", "NE agent cost <= opt_sc [Lem3]", suite, "opt_sc", worst, lemma_ok))
     if violations:
         rows.append(_row("C4", "zero violations", suite, "0", "; ".join(violations[:3]), False))
     return rows
 
 
-# --- criterion 5: asymmetric stability bounds -----------------------------------
-
-
 def criterion_5_asymmetric(count: int = 100) -> list[CheckRow]:
-    worst_sc: tuple[Fraction, str] | None = None
-    worst_mc: tuple[Fraction, str] | None = None
-    violations: list[str] = []
-    families = ("ordinary", "threshold", "random", "mixed")
-
-    for i in range(count):
-        seed = 2000 + i
-        n = 2 + (i % 2)
-        family = families[i % len(families)]
-        label = f"random-asymmetric(seed={seed},n={n},scheme={family})"
-        instance = random_asymmetric(seed, n, scheme_family=family)
-        report = compute_ratios(instance)
-        n_frac = Fraction(instance.n)
-
-        if report.pos_sc.value > n_frac:
-            violations.append(f"PoS_sc at {label}: {_frac(report.pos_sc.value)}")
-        if report.pos_mc.value > n_frac * n_frac:
-            violations.append(f"PoS_mc at {label}: {_frac(report.pos_mc.value)}")
-
-        sc_norm = report.pos_sc.value / n_frac
-        mc_norm = report.pos_mc.value / (n_frac * n_frac)
-        if worst_sc is None or sc_norm > worst_sc[0]:
-            worst_sc = (sc_norm, f"{_frac(report.pos_sc.value)} of n={instance.n} @ {label}")
-        if worst_mc is None or mc_norm > worst_mc[0]:
-            worst_mc = (mc_norm, f"{_frac(report.pos_mc.value)} of n^2={instance.n ** 2} @ {label}")
-
+    pool = _seeded_pool("random-asymmetric", 2000, count)
+    reports = [(label, compute_ratios(instance)) for label, instance in pool]
     suite = f"{count} random asymmetric DAG instances (n in 2..3)"
-    return [
-        _row("C5", "PoS_sc<=n [Thm13]", suite, "n", f"worst {worst_sc[1]}", not any("PoS_sc" in v for v in violations)),
-        _row("C5", "PoS_mc<=n^2 [Thm14]", suite, "n^2", f"worst {worst_mc[1]}", not any("PoS_mc" in v for v in violations)),
-    ]
+    return _verdict_rows("C5", suite, reports, ("Thm13:PoS_sc<=n", "Thm14:PoS_mc<=n^2"))
 
 
 # --- criterion 6: potential identities -------------------------------------------
-
-
-def _c6_pool() -> list[GameInstance]:
-    pool: list[GameInstance] = [two_link(3), overhead_parallel(3, EPS_DEFAULT)]
-    families = ("ordinary", "threshold", "random", "mixed")
-    for i in range(38):
-        seed = 3000 + i
-        n = 2 + (i % 3)
-        pool.append(random_sp(seed, n, scheme_family=families[i % 4]))
-    return pool
 
 
 def criterion_6_potential_identities(
     profile_checks: int = 1000, deviation_checks: int = 500, runs: int = 200
 ) -> list[CheckRow]:
     rng = random.Random(9001)
-    pool = _c6_pool()
-    samples = [(inst, enumerate_profiles(inst)) for inst in pool]
+    pool = [two_link(3), overhead_parallel(3, EPS_DEFAULT)]
+    pool += [instance for _, instance in _seeded_pool("random-sp", 3000, 38, sizes=(2, 3, 4))]
+    samples = [(instance, enumerate_profiles(instance)) for instance in pool]
 
     sandwich_bad = 0
     for i in range(profile_checks):
@@ -423,21 +406,13 @@ def criterion_6_potential_identities(
 
 
 def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
-    cases: list[tuple[str, GameInstance]] = []
-    families = ("ordinary", "threshold", "random", "mixed")
-    for i in range(count):
-        seed = 4000 + i
-        n = 2 + (i % 2)
-        family = families[i % 4]
-        cases.append((f"random-sp(seed={seed},n={n},scheme={family})", random_sp(seed, n, scheme_family=family)))
-    for n in (2, 5):
-        cases.append((f"two-link(n={n})", two_link(n)))
-    for n in (2, 3, 4, 5):
-        cases.append((f"fig3(n={n},eps={EPS_DEFAULT})", overhead_parallel(n, EPS_DEFAULT)))
+    cases = _seeded_pool("random-sp", 4000, count)
+    cases += [(f"two-link(n={n})", two_link(n)) for n in (2, 5)]
+    cases += [(f"fig3(n={n},eps={EPS_DEFAULT})", overhead_parallel(n, EPS_DEFAULT)) for n in (2, 3, 4, 5)]
 
     bound_bad: list[str] = []
     log_bad: list[str] = []
-    worst: tuple[Fraction, str] | None = None
+    samples: list[tuple[Fraction, str]] = []
     for label, instance in cases:
         opt_profile, opt_value = optimal_profile(instance, Criterion.MAX)
         result = dyn.low_max_cost_equilibrium(instance, opt_profile)
@@ -446,10 +421,9 @@ def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
         if not is_nash(instance, result.equilibrium):
             bound_bad.append(f"not an equilibrium @ {label}")
         if achieved > target:
-            bound_bad.append(f"max {_frac(achieved)} > {_frac(target)} @ {label}")
+            bound_bad.append(f"max {format_rational(achieved)} > {format_rational(target)} @ {label}")
         norm = achieved / target if target else Fraction(0)
-        if worst is None or norm > worst[0]:
-            worst = (norm, f"{_frac(achieved)} vs n*opt {_frac(target)} @ {label}")
+        samples.append((norm, f"{format_rational(achieved)} vs n*opt {format_rational(target)} @ {label}"))
 
         pots = [r.equilibrium_potential for r in result.rounds]
         if any(a <= b for a, b in zip(pots, pots[1:])):
@@ -467,7 +441,7 @@ def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
             "rebuilt equilibrium max-cost <= n * optimal max-cost [Thm10]",
             suite,
             "n*opt_mc",
-            f"worst {worst[1]}" if worst else "-",
+            _worst(samples),
             not bound_bad,
         ),
         _row(
@@ -487,14 +461,14 @@ def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
 def criterion_8_extension(count: int = 100) -> list[CheckRow]:
     rng = random.Random(5005)
     bad: list[str] = []
-    for i in range(count):
-        seed = 5000 + i
-        n = 2 + (i % 2)
-        label = f"random-sp(seed={seed},n={n})"
-        instance = random_sp(seed, n, scheme_family=("ordinary", "mixed")[i % 2])
+    pool = _seeded_pool(
+        "random-sp", 5000, count, families=("ordinary", "mixed"), label="{kind}(seed={seed},n={n})"
+    )
+    for label, instance in pool:
         big = rng.choice(enumerate_profiles(instance))
-        small_candidates = _partial_profiles(instance, instance.n - 1)
-        small = rng.choice(small_candidates)
+        # a feasible profile of the same arena with one agent fewer
+        smaller = make_instance(instance.graph, instance.schemes, instance.n - 1, certify=False)
+        small = rng.choice(enumerate_profiles(smaller))
 
         found = feasible_extension(instance, big, small)
 
@@ -521,14 +495,6 @@ def criterion_8_extension(count: int = 100) -> list[CheckRow]:
             not bad,
         )
     ]
-
-
-def _partial_profiles(instance: GameInstance, agents: int) -> list[StrategyProfile]:
-    """Feasible profiles of a smaller symmetric game on the same arena."""
-    if agents == 0:
-        return [StrategyProfile(())]
-    smaller = make_instance(instance.graph, instance.schemes, agents, certify=False)
-    return enumerate_profiles(smaller)
 
 
 # --- suite driver -------------------------------------------------------------------

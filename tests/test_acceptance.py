@@ -4,9 +4,13 @@ The criteria run at their full documented sizes through the same driver the
 `csglab verify` subcommand uses; run with ``pytest -s`` to see the lines.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
-from csglab.verification import CRITERIA
+from csglab import verification
+from csglab.verification import CRITERIA, format_table, run_suite
 
 _DESCRIPTIONS = {
     "C1": "crossing-DAG family: exact ratios and unbounded growth",
@@ -31,3 +35,76 @@ def test_criterion(name):
         for row in failures
     )
     assert not failures, f"{name} failed:\n{detail}"
+
+
+# sha256 of the `csglab verify --suite paper` table without its final timing
+# line, taken before C4 and C5 read the reports' own verdicts: the suite's
+# rows must stay byte for byte what they were.
+VERIFY_TABLE_SHA256 = "609be000b21d849cfb8421ac43abe6552daaa32f0f380fa69479425c9d1a1cc9"
+
+
+def test_verify_table_digest_is_unchanged():
+    table = format_table(run_suite())
+    rows, timing = table.rsplit("\n", 1)
+    assert timing.startswith("suite PASS: 45/45 checks passed in ")
+    assert hashlib.sha256(rows.encode()).hexdigest() == VERIFY_TABLE_SHA256
+
+
+# --- the bound rows read the reports' own verdicts and can fail -------------------
+
+
+def plant_in_first_report(monkeypatch, change):
+    """Let ``change`` rewrite the bounds of the first report the suite computes."""
+    real = verification.compute_ratios
+    calls = []
+
+    def planted(instance):
+        report = real(instance)
+        calls.append(instance)
+        if len(calls) > 1:
+            return report
+        return dataclasses.replace(report, bounds=tuple(change(report.bounds)))
+
+    monkeypatch.setattr(verification, "compute_ratios", planted)
+
+
+def verdicts(rows):
+    return {row.claim: row.passed for row in rows}
+
+
+def test_c4_row_fails_on_a_planted_violation(monkeypatch):
+    plant_in_first_report(
+        monkeypatch,
+        lambda bounds: [dataclasses.replace(b, holds=b.tag != "Thm9:PoA_mc<=n") for b in bounds],
+    )
+    rows = verification.criterion_4_sp_upper_bounds(count=20)
+    assert verdicts(rows) == {
+        "PoA_mc<=n [Thm9]": False,
+        "PoA_sc<=n [Thm5]": True,
+        "PoS_mc<=n [Thm10]": True,
+        "PoS_sc<=n [Thm8]": True,
+        "NE agent cost <= opt_sc [Lem3]": True,
+        "zero violations": False,
+    }
+    assert rows[-1].measured.startswith("PoA_mc<=n [Thm9] at random-sp(seed=1000,n=2,scheme=ordinary): ")
+
+
+def test_c4_row_fails_on_a_dropped_verdict(monkeypatch):
+    plant_in_first_report(monkeypatch, lambda bounds: [b for b in bounds if b.tag != "Thm5:PoA_sc<=n"])
+    rows = verification.criterion_4_sp_upper_bounds(count=20)
+    assert verdicts(rows) == {
+        "PoA_mc<=n [Thm9]": True,
+        "PoA_sc<=n [Thm5]": False,
+        "PoS_mc<=n [Thm10]": True,
+        "PoS_sc<=n [Thm8]": True,
+        "NE agent cost <= opt_sc [Lem3]": True,
+    }
+
+
+def test_c5_row_fails_on_a_planted_violation(monkeypatch):
+    plant_in_first_report(
+        monkeypatch,
+        lambda bounds: [dataclasses.replace(b, holds=not b.tag.startswith("Thm14:")) for b in bounds],
+    )
+    rows = verification.criterion_5_asymmetric(count=10)
+    assert verdicts(rows) == {"PoS_sc<=n [Thm13]": True, "PoS_mc<=n^2 [Thm14]": False}

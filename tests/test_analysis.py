@@ -360,13 +360,13 @@ def test_dynamics_terminal_between_equilibrium_extremes():
 
 
 def test_lemma_cost_bound_on_families():
-    assert verify_lemma_cost_bound(two_link(4)).holds
-    assert verify_lemma_cost_bound(overhead_parallel(3, EPS)).holds
+    assert verify_lemma_cost_bound(compute_ratios(two_link(4))).holds
+    assert verify_lemma_cost_bound(compute_ratios(overhead_parallel(3, EPS))).holds
     for seed in range(10):
         inst = random_sp(seed + 980, 2 + seed % 2, scheme_family="mixed")
-        assert verify_lemma_cost_bound(inst).holds
+        assert verify_lemma_cost_bound(compute_ratios(inst)).holds
 
 
 def test_lemma_cost_bound_rejects_non_sp():
     with pytest.raises(NotSeriesParallel):
-        verify_lemma_cost_bound(crossed_dag(1, 2))
+        verify_lemma_cost_bound(compute_ratios(crossed_dag(1, 2)))

@@ -274,3 +274,41 @@ def test_dynamics_cap_covers_the_deviation_scan(tmp_path, capsys):
     trace = json.loads(out)
     assert trace["step_count"] == 0
     assert trace["terminal"]["paths"] == [list(range(0, 2 * stages, 2))]
+
+
+def _two_link_with_start(tmp_path, capsys, paths):
+    inst_path = tmp_path / "inst.json"
+    run_cli(capsys, "gen", "two-link", "--n", "3", "--out", str(inst_path))
+    profile_path = tmp_path / "profile.json"
+    profile_path.write_text(json.dumps(paths))
+    return str(inst_path), str(profile_path)
+
+
+def test_dynamics_rejects_non_integer_profile_ids(tmp_path, capsys):
+    # 0.9, true and "1" would read as edges 0, 1 and 1 if coerced
+    for paths in ([[0.9], [1], [True]], [[0], ["1"], [1]]):
+        inst, start = _two_link_with_start(tmp_path, capsys, paths)
+        code, out, err = run_cli(capsys, "dynamics", inst, "--start", start)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: profile edge id must be a JSON integer")
+
+
+def test_dynamics_step_cap_exceeded_exits_3(tmp_path, capsys):
+    # two agents share the expensive link; each moves once to the cheap one
+    inst, start = _two_link_with_start(tmp_path, capsys, [[0], [1], [1]])
+    code, out, _ = run_cli(capsys, "dynamics", inst, "--start", start, "--step-cap", "2")
+    assert code == 0
+    assert json.loads(out)["step_count"] == 2
+    code, out, err = run_cli(capsys, "dynamics", inst, "--start", start, "--step-cap", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "error: dynamics exceeded 1 steps\n"
+
+
+def test_dynamics_negative_step_cap_exits_2(tmp_path, capsys):
+    inst, start = _two_link_with_start(tmp_path, capsys, [[0], [1], [1]])
+    code, out, err = run_cli(capsys, "dynamics", inst, "--start", start, "--step-cap", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: step cap must be non-negative, got -1\n"
