@@ -29,7 +29,7 @@ from .errors import (
     StepCapExceeded,
 )
 from .graphs import DEFAULT_PATH_CAP
-from .instances import InstanceRecipe, build_recipe
+from .instances import SCHEME_FAMILIES, InstanceRecipe, build_recipe
 from .io import (
     canonical_json,
     instance_from_document,
@@ -141,6 +141,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
     doc, instance = _read_instance(args.instance)
+    # fill the path cache under --cap, for the optima and the deviation scan alike
+    for agent in range(instance.n):
+        instance.agent_paths(agent, args.cap)
     if args.start == "opt-sc":
         start = optimal_profile(instance, Criterion.SUM, cap=args.cap)[0]
     elif args.start == "opt-mc":
@@ -203,12 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     rsp.add_argument("--seed", type=int, default=None)
     rsp.add_argument("--n", type=int, required=True)
     rsp.add_argument("--max-depth", type=int, default=3, dest="max_depth")
-    rsp.add_argument("--scheme", default="ordinary", choices=["ordinary", "threshold", "random", "mixed"])
+    rsp.add_argument("--scheme", default="ordinary", choices=SCHEME_FAMILIES)
 
     rasym = gen_sub.add_parser("random-asymmetric", help="seeded random asymmetric DAG game")
     rasym.add_argument("--seed", type=int, default=None)
     rasym.add_argument("--n", type=int, required=True)
-    rasym.add_argument("--scheme", default="ordinary", choices=["ordinary", "threshold", "random", "mixed"])
+    rasym.add_argument("--scheme", default="ordinary", choices=SCHEME_FAMILIES)
 
     for p in (fig2, fig3, twolink, rsp, rasym):
         p.add_argument("--out", default=None)

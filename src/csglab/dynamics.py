@@ -39,7 +39,7 @@ from .graphs import EdgePath
 
 DEFAULT_STEP_CAP = 10_000
 
-ORDERINGS = ("round_robin", "permutation", "random")
+ORDERINGS = ("round_robin", "random")
 RULES = ("best", "first_improving")
 
 
@@ -47,14 +47,12 @@ RULES = ("best", "first_improving")
 class DeviationPolicy:
     """How agents take turns and which improving move they pick.
 
-    Round-robin visits agents by index; "permutation" uses a fixed order;
-    "random" reshuffles each pass with a seeded generator, so runs are
-    reproducible given the seed.
+    Round-robin visits agents by index; "random" reshuffles each pass with
+    a seeded generator, so runs are reproducible given the seed.
     """
 
     ordering: str = "round_robin"
     rule: str = "best"
-    permutation: tuple[int, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -62,8 +60,6 @@ class DeviationPolicy:
             raise ParameterViolation(f"unknown ordering {self.ordering!r}")
         if self.rule not in RULES:
             raise ParameterViolation(f"unknown rule {self.rule!r}")
-        if (self.ordering == "permutation") != (self.permutation is not None):
-            raise ParameterViolation("permutation orderings need an explicit permutation")
 
 
 DEFAULT_POLICY = DeviationPolicy()
@@ -114,9 +110,6 @@ def run_dynamics(
         raise InfeasibleProfile("dynamics must start from a feasible profile")
     rng = random.Random(policy.seed)
     n = len(start)
-    if policy.ordering == "permutation":
-        if sorted(policy.permutation) != list(range(n)):
-            raise ParameterViolation("permutation must reorder exactly the agent indices")
 
     profile = start
     scale = instance.scale
@@ -127,8 +120,6 @@ def run_dynamics(
     while True:
         if policy.ordering == "round_robin":
             order = range(n)
-        elif policy.ordering == "permutation":
-            order = policy.permutation
         else:
             order = rng.sample(range(n), n)
         moved = False
@@ -167,8 +158,7 @@ def run_dynamics(
 class RebuildRound:
     """Bookkeeping for one rebuild of an equilibrium whose max-cost is too high.
 
-    All values are in the rescaled game where the reference profile's
-    sum-cost equals the number of agents.
+    All values are in the instance's own units.
     """
 
     removed_agent: int
@@ -184,7 +174,6 @@ class RebuildRound:
 class ConstructiveResult:
     equilibrium: StrategyProfile
     rounds: tuple[RebuildRound, ...]
-    scale: Fraction
     traces: tuple[DynamicsTrace, ...]
 
 
@@ -193,17 +182,18 @@ def low_max_cost_equilibrium(
     max_cost_optimum: StrategyProfile,
     policy: DeviationPolicy = DEFAULT_POLICY,
     step_cap: int = DEFAULT_STEP_CAP,
-    round_cap: int = DEFAULT_STEP_CAP,
 ) -> ConstructiveResult:
     """Equilibrium whose max-cost is at most n times the optimal max-cost.
 
-    Works on a rescaled clone in which the reference profile's sum-cost is
-    exactly n, so its max-cost is at least 1. Runs dynamics from the
-    reference profile; while the resulting equilibrium still has max-cost
-    above n, removes the worst-paying agent (lowest index on ties), finds an
-    augmenting path in the residual network of the combined capacitated
-    graph, reinserts the agent along it, and settles again. Each round
-    strictly lowers the potential, so the loop is finite.
+    The target is the reference profile's sum-cost, which is at most n times
+    its max-cost. Thm10's proof rescales the game so that this sum is n;
+    every comparison below survives a positive factor, so the procedure runs
+    on the instance itself and visits the same profiles. Runs dynamics from
+    the reference profile; while the resulting equilibrium still has
+    max-cost above the target, removes the worst-paying agent (lowest index
+    on ties), finds an augmenting path in the residual network of the
+    combined capacitated graph, reinserts the agent along it, and settles
+    again. Each round strictly lowers the potential, so the loop is finite.
     """
     if not instance.symmetric:
         raise NotSymmetric("the rebuild procedure requires shared terminals")
@@ -213,53 +203,43 @@ def low_max_cost_equilibrium(
     if n == 0:
         raise ParameterViolation("need at least one agent")
 
-    reference_sum = sum_cost(instance, max_cost_optimum)
-    if reference_sum == 0:
-        # all edges on the reference paths are free: it is already an
-        # equilibrium with max-cost 0 and nothing can improve on that
-        trace = run_dynamics(instance, max_cost_optimum, policy, step_cap)
-        return ConstructiveResult(trace.terminal, (), Fraction(1), (trace,))
-
-    scale = Fraction(n) / reference_sum
-    scaled = instance.scaled(scale)
-    target = Fraction(n)
-
+    target = sum_cost(instance, max_cost_optimum)
     ref_loads = max_cost_optimum.loads
 
-    trace = run_dynamics(scaled, max_cost_optimum, policy, step_cap)
+    trace = run_dynamics(instance, max_cost_optimum, policy, step_cap)
     traces = [trace]
     equilibrium = trace.terminal
     rounds: list[RebuildRound] = []
 
     while True:
-        worst = max_cost(scaled, equilibrium)
+        worst = max_cost(instance, equilibrium)
         if worst <= target:
             break
-        if len(rounds) >= round_cap:
-            raise StepCapExceeded(f"rebuild exceeded {round_cap} rounds")
+        if len(rounds) >= DEFAULT_STEP_CAP:
+            raise StepCapExceeded(f"rebuild exceeded {DEFAULT_STEP_CAP} rounds")
 
-        ne_potential = potential(scaled, equilibrium)
+        ne_potential = potential(instance, equilibrium)
         removed = min(
             agent
             for agent in range(n)
-            if agent_cost(scaled, equilibrium, agent) == worst
+            if agent_cost(instance, equilibrium, agent) == worst
         )
         partial = equilibrium.without(removed)
         profile_after_rebuild, arcs, path_cost = _reinsert_agent(
-            scaled, max_cost_optimum, ref_loads, partial, removed
+            instance, max_cost_optimum, ref_loads, partial, removed
         )
         if path_cost > target:
             raise InternalAssertion(
-                f"rebuilt path cost {path_cost} exceeds the scaled optimum total {target}"
+                f"rebuilt path cost {path_cost} exceeds the reference sum-cost {target}"
             )
-        rebuilt_potential = potential(scaled, profile_after_rebuild)
+        rebuilt_potential = potential(instance, profile_after_rebuild)
         if not rebuilt_potential < ne_potential:
             raise InternalAssertion("rebuild did not lower the potential")
 
-        trace = run_dynamics(scaled, profile_after_rebuild, policy, step_cap)
+        trace = run_dynamics(instance, profile_after_rebuild, policy, step_cap)
         traces.append(trace)
         equilibrium = trace.terminal
-        settled_potential = potential(scaled, equilibrium)
+        settled_potential = potential(instance, equilibrium)
         rounds.append(
             RebuildRound(
                 removed_agent=removed,
@@ -275,11 +255,11 @@ def low_max_cost_equilibrium(
             if not rounds[-1].equilibrium_potential < rounds[-2].equilibrium_potential:
                 raise InternalAssertion("round potentials must strictly decrease")
 
-    return ConstructiveResult(equilibrium, tuple(rounds), scale, tuple(traces))
+    return ConstructiveResult(equilibrium, tuple(rounds), tuple(traces))
 
 
 def _reinsert_agent(
-    scaled: GameInstance,
+    instance: GameInstance,
     reference: StrategyProfile,
     ref_loads: dict[int, int],
     partial: StrategyProfile,
@@ -296,7 +276,7 @@ def _reinsert_agent(
     strategy; otherwise the augmented flow is re-decomposed into unit paths
     assigned to agents by index.
     """
-    graph = scaled.graph
+    graph = instance.graph
     partial_loads = partial.loads
     union_caps = {
         eid: max(ref_loads.get(eid, 0), partial_loads.get(eid, 0))
@@ -314,7 +294,7 @@ def _reinsert_agent(
                 f"augmenting path uses edge {edge_id} outside the reference profile"
             )
     path_cost = sum(
-        (scaled.schemes[eid].base_cost for eid in forward_edges), Fraction(0)
+        (instance.schemes[eid].base_cost for eid in forward_edges), Fraction(0)
     )
 
     if all(arc.forward for arc in arcs):
@@ -326,8 +306,8 @@ def _reinsert_agent(
         new_values = flows.apply_augmentation(flow.values, arcs)
         unit_paths = flows.decompose_unit_paths(graph, new_values)
         rebuilt = StrategyProfile(unit_paths)
-    if len(rebuilt) != scaled.n:
+    if len(rebuilt) != instance.n:
         raise InternalAssertion("rebuild produced the wrong number of paths")
-    if not is_feasible(scaled, rebuilt):
+    if not is_feasible(instance, rebuilt):
         raise InternalAssertion("rebuilt profile is infeasible")
     return rebuilt, arcs, path_cost

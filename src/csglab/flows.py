@@ -21,9 +21,6 @@ class Flow:
     values: Mapping[int, int]
     value: int
 
-    def at(self, edge_id: int) -> int:
-        return self.values.get(edge_id, 0)
-
 
 @dataclass(frozen=True)
 class ResidualArc:
@@ -40,40 +37,28 @@ def _validate_capacities(graph: Graph, capacities: Mapping[int, int]) -> None:
             raise ParameterViolation(f"capacity of edge {edge.id} must be an integer >= 0")
 
 
-def check_flow(
-    graph: Graph,
-    capacities: Mapping[int, int],
-    flow: Flow,
-    source: NodeId | None = None,
-    sink: NodeId | None = None,
-) -> None:
+def check_flow(graph: Graph, capacities: Mapping[int, int], flow: Flow) -> None:
     """Raise InfeasibleFlow unless ``flow`` respects capacities and conservation."""
-    src = graph.source if source is None else source
-    dst = graph.sink if sink is None else sink
     _validate_capacities(graph, capacities)
     for edge_id in flow.values:
         if edge_id not in graph.edge_map:
             raise InfeasibleFlow(f"flow on unknown edge {edge_id}")
     net: dict[NodeId, int] = {v: 0 for v in graph.nodes}
     for edge in graph.edges:
-        f = flow.at(edge.id)
+        f = flow.values.get(edge.id, 0)
         cap = capacities.get(edge.id, 0)
         if f < 0 or f > cap:
             raise InfeasibleFlow(f"edge {edge.id}: flow {f} outside [0, {cap}]")
         net[edge.tail] += f
         net[edge.head] -= f
     for node in graph.nodes:
-        expected = flow.value if node == src else -flow.value if node == dst else 0
+        expected = flow.value if node == graph.source else -flow.value if node == graph.sink else 0
         if net[node] != expected:
             raise InfeasibleFlow(f"conservation violated at node {node!r}")
 
 
 def _residual_search(
-    graph: Graph,
-    capacities: Mapping[int, int],
-    values: Mapping[int, int],
-    source: NodeId,
-    sink: NodeId,
+    graph: Graph, capacities: Mapping[int, int], values: Mapping[int, int]
 ) -> tuple[ResidualArc, ...] | None:
     """Depth-first residual path, exploring arcs by lowest edge id first."""
 
@@ -90,21 +75,15 @@ def _residual_search(
         ]
         return [(ResidualArc(eid, fwd), nxt) for eid, fwd, nxt in sorted(forward + backward)]
 
-    return next(simple_paths(source, sink, arcs), None)
+    return next(simple_paths(graph.source, graph.sink, arcs), None)
 
 
 def augmenting_path(
-    graph: Graph,
-    capacities: Mapping[int, int],
-    flow: Flow,
-    source: NodeId | None = None,
-    sink: NodeId | None = None,
+    graph: Graph, capacities: Mapping[int, int], flow: Flow
 ) -> tuple[ResidualArc, ...] | None:
     """Residual source->sink path, or None when ``flow`` is already maximum."""
-    src = graph.source if source is None else source
-    dst = graph.sink if sink is None else sink
-    check_flow(graph, capacities, flow, src, dst)
-    return _residual_search(graph, capacities, flow.values, src, dst)
+    check_flow(graph, capacities, flow)
+    return _residual_search(graph, capacities, flow.values)
 
 
 def apply_augmentation(
@@ -117,20 +96,13 @@ def apply_augmentation(
     return updated
 
 
-def max_flow(
-    graph: Graph,
-    capacities: Mapping[int, int],
-    source: NodeId | None = None,
-    sink: NodeId | None = None,
-) -> Flow:
+def max_flow(graph: Graph, capacities: Mapping[int, int]) -> Flow:
     """Integral maximum flow by repeated augmentation (value = min cut)."""
-    src = graph.source if source is None else source
-    dst = graph.sink if sink is None else sink
     _validate_capacities(graph, capacities)
     values = {e.id: 0 for e in graph.edges_by_id}
     value = 0
     while True:
-        arcs = _residual_search(graph, capacities, values, src, dst)
+        arcs = _residual_search(graph, capacities, values)
         if arcs is None:
             return Flow(values, value)
         bottleneck = min(
@@ -141,19 +113,13 @@ def max_flow(
         value += bottleneck
 
 
-def decompose_unit_paths(
-    graph: Graph,
-    values: Mapping[int, int],
-    source: NodeId | None = None,
-    sink: NodeId | None = None,
-) -> tuple[EdgePath, ...]:
+def decompose_unit_paths(graph: Graph, values: Mapping[int, int]) -> tuple[EdgePath, ...]:
     """Split an integral flow into unit source->sink paths.
 
     Flow on cycles is cancelled first, so every peeled path is simple. The
     peel order (always follow the lowest positive edge id) is deterministic.
     """
-    src = graph.source if source is None else source
-    dst = graph.sink if sink is None else sink
+    src, dst = graph.source, graph.sink
     work = {e.id: values.get(e.id, 0) for e in graph.edges_by_id}
 
     _cancel_cycles(graph, work)

@@ -78,13 +78,6 @@ class CostSharingScheme:
     def share(self, load: int) -> Fraction:
         return self.shares[load - 1]
 
-    def scaled(self, factor: Fraction) -> "CostSharingScheme":
-        if factor <= 0:
-            raise ParameterViolation("scale factor must be positive")
-        return CostSharingScheme(
-            self.base_cost * factor, self.capacity, tuple(s * factor for s in self.shares)
-        )
-
 
 def validate_scheme(scheme: CostSharingScheme) -> tuple[SchemeProblem, ...]:
     """Check the three scheme properties; empty result means the table is valid."""
@@ -321,11 +314,6 @@ class GameInstance:
         if at in seen_nodes:
             raise MalformedProfile(f"path revisits node {at!r}")
         return tuple(path)
-
-    def scaled(self, factor: Fraction) -> "GameInstance":
-        """Clone with every share table multiplied by a positive rational."""
-        schemes = {eid: sch.scaled(factor) for eid, sch in self.schemes.items()}
-        return GameInstance(self.graph, schemes, self.terminals)
 
 
 def make_instance(

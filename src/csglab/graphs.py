@@ -33,8 +33,7 @@ class Graph:
     """Directed multigraph with designated source and sink terminals.
 
     Edge ids are unique integers; parallel edges are allowed (parallel-link
-    graphs require them), self-loops are rejected unless explicitly enabled
-    at construction.
+    graphs require them), self-loops are rejected at construction.
     """
 
     nodes: tuple[NodeId, ...]
@@ -70,8 +69,6 @@ def make_graph(
     edges: Iterable[Edge | tuple[int, NodeId, NodeId]],
     source: NodeId,
     sink: NodeId,
-    *,
-    allow_self_loops: bool = False,
 ) -> Graph:
     """Validate and freeze a graph; edges may be given as (id, tail, head)."""
     node_tuple = tuple(nodes)
@@ -83,7 +80,7 @@ def make_graph(
         edge = item if isinstance(item, Edge) else Edge(*item)
         if edge.tail not in node_set or edge.head not in node_set:
             raise ParameterViolation(f"edge {edge.id} references unknown node")
-        if edge.tail == edge.head and not allow_self_loops:
+        if edge.tail == edge.head:
             raise ParameterViolation(f"edge {edge.id} is a self-loop")
         edge_list.append(edge)
     ids = [e.id for e in edge_list]

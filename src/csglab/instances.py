@@ -143,9 +143,8 @@ def _random_sp_expression(rng: random.Random, depth: int) -> SpExpression:
     return built[0]
 
 
-def _random_cost(rng: random.Random, cost_range: tuple[int, int]) -> Fraction:
-    lo, hi = cost_range
-    return Fraction(rng.randint(lo, hi), rng.randint(1, 3))
+def _random_cost(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, 6), rng.randint(1, 3))
 
 
 def _random_valid_scheme(
@@ -183,7 +182,6 @@ def random_sp(
     seed: int,
     agents: int,
     max_depth: int = 3,
-    cost_range: tuple[int, int] = (1, 6),
     cap_range: tuple[int, int] = (1, 3),
     scheme_family: str = "ordinary",
 ) -> GameInstance:
@@ -195,10 +193,10 @@ def random_sp(
     """
     if agents < 1:
         raise ParameterViolation("need at least one agent")
+    if max_depth < 0:
+        raise ParameterViolation(f"max_depth must be >= 0, got {max_depth}")
     if scheme_family not in SCHEME_FAMILIES:
         raise ParameterViolation(f"scheme_family must be one of {SCHEME_FAMILIES}")
-    if cost_range[0] < 0 or cost_range[0] > cost_range[1]:
-        raise ParameterViolation("bad cost range")
     if cap_range[0] < 1 or cap_range[0] > cap_range[1]:
         raise ParameterViolation("bad capacity range")
 
@@ -212,7 +210,7 @@ def random_sp(
         for edge_id in rng.choice(paths):
             capacities[edge_id] += 1
     schemes = {
-        e.id: _scheme_for(rng, scheme_family, _random_cost(rng, cost_range), capacities[e.id])
+        e.id: _scheme_for(rng, scheme_family, _random_cost(rng), capacities[e.id])
         for e in graph.edges_by_id
     }
     return make_instance(graph, schemes, agents)
@@ -221,17 +219,14 @@ def random_sp(
 def random_asymmetric(
     seed: int,
     agents: int,
-    node_range: tuple[int, int] = (4, 6),
-    edge_prob: float = 0.55,
-    cost_range: tuple[int, int] = (1, 6),
-    cap_range: tuple[int, int] = (1, 2),
     scheme_family: str = "ordinary",
 ) -> GameInstance:
-    """Seeded random game on a DAG with per-agent terminal pairs.
+    """Seeded random game on a DAG of 4 to 6 nodes with per-agent terminal pairs.
 
-    Each agent gets a terminal pair that some path connects; capacities are
-    lifted to cover one concrete assignment, so construction always yields a
-    feasible game. Regenerates until the graph is a proper DAG (not SP).
+    Each agent gets a terminal pair that some path connects; capacities
+    (drawn from 1..2) are lifted to cover one concrete assignment, so
+    construction always yields a feasible game. Regenerates until the graph
+    is a proper DAG (not SP).
     """
     if agents < 1:
         raise ParameterViolation("need at least one agent")
@@ -240,13 +235,13 @@ def random_asymmetric(
     rng = random.Random(seed)
 
     for _ in range(64):
-        count = rng.randint(*node_range)
+        count = rng.randint(4, 6)
         nodes = list(range(count))
         edges = []
         eid = 0
         for i in range(count):
             for j in range(i + 1, count):
-                if rng.random() < edge_prob:
+                if rng.random() < 0.55:
                     edges.append((eid, i, j))
                     eid += 1
         if len(edges) < 3:
@@ -276,7 +271,7 @@ def random_asymmetric(
         if not ok:
             continue
 
-        capacities = {e.id: rng.randint(*cap_range) for e in graph.edges_by_id}
+        capacities = {e.id: rng.randint(1, 2) for e in graph.edges_by_id}
         loads: dict[int, int] = {}
         for path in pick:
             for edge_id in path:
@@ -285,7 +280,7 @@ def random_asymmetric(
             capacities[edge_id] = max(capacities[edge_id], load)
 
         schemes = {
-            e.id: _scheme_for(rng, scheme_family, _random_cost(rng, cost_range), capacities[e.id])
+            e.id: _scheme_for(rng, scheme_family, _random_cost(rng), capacities[e.id])
             for e in graph.edges_by_id
         }
         return make_instance(graph, schemes, terminals)

@@ -429,7 +429,7 @@ def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
         if any(a <= b for a, b in zip(pots, pots[1:])):
             log_bad.append(f"round potentials not decreasing @ {label}")
         for r in result.rounds:
-            if r.rebuilt_path_cost > instance.n:
+            if r.rebuilt_path_cost > sum_cost(instance, opt_profile):
                 log_bad.append(f"rebuilt path cost @ {label}")
             if not r.rebuilt_potential < r.equilibrium_potential:
                 log_bad.append(f"rebuild failed to lower potential @ {label}")

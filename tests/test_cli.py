@@ -35,9 +35,14 @@ def test_gen_fig3_table(capsys):
 
 
 def test_gen_rejects_bad_parameters(capsys):
-    code, _, err = run_cli(capsys, "gen", "fig2", "--x", "1", "--y", "1")
-    assert code == 2
-    assert "error" in err
+    # a negative depth would never reach a leaf level, so the tree could grow without bound
+    for argv in (
+        ("fig2", "--x", "1", "--y", "1"),
+        ("random-sp", "--seed", "1", "--n", "2", "--max-depth", "-1"),
+    ):
+        code, _, err = run_cli(capsys, "gen", *argv)
+        assert code == 2
+        assert "error" in err
 
 
 def test_gen_rejects_malformed_rational(capsys):
@@ -269,11 +274,15 @@ def test_dynamics_cap_covers_the_deviation_scan(tmp_path, capsys):
     }
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "dynamics", str(path), "--cap", "20000")
-    assert code == 0, err
-    trace = json.loads(out)
-    assert trace["step_count"] == 0
-    assert trace["terminal"]["paths"] == [list(range(0, 2 * stages, 2))]
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps([list(range(1, 2 * stages, 2))]))
+    # from the optimum nobody moves; from the all-odd path one move is made
+    for start, steps in (("opt-sc", 0), (str(odd), 1)):
+        code, out, err = run_cli(capsys, "dynamics", str(path), "--start", start, "--cap", "20000")
+        assert code == 0, err
+        trace = json.loads(out)
+        assert trace["step_count"] == steps
+        assert trace["terminal"]["paths"] == [list(range(0, 2 * stages, 2))]
 
 
 def _two_link_with_start(tmp_path, capsys, paths):

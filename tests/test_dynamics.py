@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from csglab import dynamics
 from csglab.analysis import Criterion, enumerate_profiles, optimal_profile
 from csglab.dynamics import (
     DeviationPolicy,
+    RebuildRound,
     best_response,
     first_improvement,
     low_max_cost_equilibrium,
@@ -20,6 +22,7 @@ from csglab.game import (
     make_instance,
     make_ordinary_scheme,
     max_cost,
+    potential,
     sum_cost,
 )
 from csglab.graphs import make_graph
@@ -109,15 +112,6 @@ def test_dynamics_policies_are_deterministic():
     assert a == b
 
 
-def test_dynamics_permutation_policy():
-    inst = overhead_parallel(3, EPS)
-    packed = inst.profile(((3,), (3,), (3,)))
-    policy = DeviationPolicy(ordering="permutation", permutation=(2, 0, 1))
-    trace = run_dynamics(inst, packed, policy)
-    assert is_nash(inst, trace.terminal)
-    assert trace.steps[0].agent == 2
-
-
 def test_dynamics_step_cap():
     inst = overhead_parallel(4, EPS)
     packed = inst.profile(((4,), (4,), (4,), (4,)))
@@ -128,8 +122,6 @@ def test_dynamics_step_cap():
 def test_policy_validation():
     with pytest.raises(ParameterViolation):
         DeviationPolicy(ordering="sideways")
-    with pytest.raises(ParameterViolation):
-        DeviationPolicy(ordering="permutation")  # missing the permutation
     with pytest.raises(ParameterViolation):
         DeviationPolicy(rule="fastest")
 
@@ -181,7 +173,7 @@ def test_rebuild_random_sp_bound_with_enumeration_oracle():
         assert is_nash(inst, result.equilibrium)
         assert max_cost(inst, result.equilibrium) <= n * opt_value
         for record in result.rounds:
-            assert record.rebuilt_path_cost <= n
+            assert record.rebuilt_path_cost <= sum_cost(inst, opt_profile)
             assert record.rebuilt_potential < record.equilibrium_potential
 
 
@@ -192,6 +184,38 @@ def test_rebuild_all_zero_costs():
     start = inst.profile(((0,), (0,)))
     result = low_max_cost_equilibrium(inst, start)
     assert max_cost(inst, result.equilibrium) == 0
+
+
+def test_rebuild_round_runs_in_instance_units(monkeypatch):
+    # No small game settles above the target, so drive one: the first settle
+    # on two-link(3) parks agent 0 on the cost-3 edge, above the reference
+    # sum-cost of 1, and the rebuild moves it back
+    real = dynamics.run_dynamics
+    settles = []
+
+    def driven(instance, start, policy=dynamics.DEFAULT_POLICY, step_cap=dynamics.DEFAULT_STEP_CAP):
+        settles.append(start)
+        if len(settles) > 1:
+            return real(instance, start, policy, step_cap)
+        terminal = StrategyProfile(((1,), (0,), (0,)))
+        return dynamics.DynamicsTrace(start, terminal, (), potential(instance, terminal))
+
+    monkeypatch.setattr(dynamics, "run_dynamics", driven)
+    inst = two_link(3)
+    reference = inst.profile(((0,), (0,), (0,)))
+    result = low_max_cost_equilibrium(inst, reference)
+    assert result.equilibrium == reference
+    assert result.rounds == (
+        RebuildRound(
+            removed_agent=0,
+            equilibrium_max_cost=Fraction(3),
+            equilibrium_potential=Fraction(9, 2),
+            augmenting_arcs=(ResidualArc(0, True),),
+            rebuilt_path_cost=Fraction(1),
+            rebuilt_potential=Fraction(11, 6),
+            settled_potential=Fraction(11, 6),
+        ),
+    )
 
 
 # --- reinsertion internals -------------------------------------------------------------

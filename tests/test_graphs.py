@@ -25,8 +25,6 @@ def leaf():
 def test_graph_rejects_self_loops_by_default():
     with pytest.raises(ParameterViolation):
         make_graph(["s", "t"], [(0, "s", "s"), (1, "s", "t")], "s", "t")
-    g = make_graph(["s", "t"], [(0, "s", "s"), (1, "s", "t")], "s", "t", allow_self_loops=True)
-    assert len(g.edges) == 2
 
 
 def test_graph_rejects_duplicate_edge_ids_and_bad_terminals():

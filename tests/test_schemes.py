@@ -83,15 +83,6 @@ def test_make_scheme_raises_on_invalid_table():
         make_scheme(5, 2, [5, 6])
 
 
-def test_scaling_preserves_validity():
-    scheme = make_threshold_scheme(Fraction(3, 2), 3, 2)
-    scaled = scheme.scaled(Fraction(7, 5))
-    assert validate_scheme(scaled) == ()
-    assert scaled.base_cost == Fraction(21, 10)
-    with pytest.raises(ParameterViolation):
-        scheme.scaled(Fraction(0))
-
-
 def test_prefix_sums():
     # the potential's prefix sums live on the instance, scaled to integers
     graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
