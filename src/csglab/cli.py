@@ -16,18 +16,7 @@ import time
 from . import verification
 from .analysis import Criterion, compute_ratios, optimal_profile
 from .dynamics import DEFAULT_STEP_CAP, DeviationPolicy, run_dynamics
-from .errors import (
-    GenerationFailed,
-    InfeasibleGame,
-    InfeasibleProfile,
-    InstanceFormatError,
-    MalformedProfile,
-    ParameterViolation,
-    PathExplosion,
-    SchemeViolation,
-    SelfCheckFailed,
-    StepCapExceeded,
-)
+from .errors import CsglabError, InstanceFormatError, InternalAssertion, ParameterViolation
 from .graphs import DEFAULT_PATH_CAP
 from .instances import SCHEME_FAMILIES, InstanceRecipe, build_recipe
 from .io import (
@@ -40,17 +29,6 @@ from .io import (
     trace_to_document,
 )
 from .rational import parse_rational
-
-INPUT_ERRORS = (
-    ParameterViolation,
-    InstanceFormatError,
-    SchemeViolation,
-    MalformedProfile,
-    InfeasibleGame,
-    InfeasibleProfile,
-    SelfCheckFailed,
-    GenerationFailed,
-)
 
 
 def _default_seed() -> int:
@@ -250,12 +228,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (PathExplosion, StepCapExceeded) as exc:
+    except InternalAssertion:
+        raise  # a bug, not a verdict on the input: keep the traceback
+    except CsglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,7 +2,9 @@
 
 
 class CsglabError(Exception):
-    """Base class for all csglab errors."""
+    """Base class for all csglab errors; a command they end exits with ``exit_code``."""
+
+    exit_code = 2  # bad input or parameters
 
 
 class ParameterViolation(CsglabError):
@@ -17,6 +19,8 @@ class PathExplosion(CsglabError):
     count when it is known exactly (profile products), otherwise None
     (enumeration aborted at cap + 1).
     """
+
+    exit_code = 3  # a cap was exceeded
 
     def __init__(self, what: str, cap: int, count: int | None = None):
         self.cap = cap
@@ -62,6 +66,8 @@ class NotSymmetric(CsglabError):
 
 class StepCapExceeded(CsglabError):
     """A dynamics run exceeded its safety step cap (indicates a bug)."""
+
+    exit_code = 3  # a cap was exceeded
 
 
 class SelfCheckFailed(CsglabError):

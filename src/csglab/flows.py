@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InfeasibleFlow, InternalAssertion, ParameterViolation
-from .graphs import EdgePath, Graph, NodeId, find_cycle, simple_paths
+from .graphs import EdgePath, Graph, NodeId, first_path
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _residual_search(
         ]
         return [(ResidualArc(eid, fwd), nxt) for eid, fwd, nxt in sorted(forward + backward)]
 
-    return next(simple_paths(graph.source, graph.sink, arcs), None)
+    return first_path(graph.source, graph.sink, arcs)
 
 
 def augmenting_path(
@@ -116,41 +116,27 @@ def max_flow(graph: Graph, capacities: Mapping[int, int]) -> Flow:
 def decompose_unit_paths(graph: Graph, values: Mapping[int, int]) -> tuple[EdgePath, ...]:
     """Split an integral flow into unit source->sink paths.
 
-    Flow on cycles is cancelled first, so every peeled path is simple. The
-    peel order (always follow the lowest positive edge id) is deterministic.
+    Each unit path is the first simple path over the edges that still carry
+    flow, trying edges by lowest id, so flow circulating on a cycle is never
+    peeled and the split is deterministic.
     """
     src, dst = graph.source, graph.sink
     work = {e.id: values.get(e.id, 0) for e in graph.edges_by_id}
 
-    _cancel_cycles(graph, work)
+    def carrying(node: NodeId) -> list[tuple[int, NodeId]]:
+        return [(e.id, e.head) for e in graph.outgoing.get(node, ()) if work[e.id] > 0]
 
     remaining = sum(work[e.id] for e in graph.outgoing.get(src, ())) - sum(
         work[e.id] for e in graph.incoming.get(src, ())
     )
     paths: list[EdgePath] = []
     for _ in range(remaining):
-        node = src
-        picked: list[int] = []
-        while node != dst:
-            edge = next(
-                (e for e in graph.outgoing.get(node, ()) if work[e.id] > 0), None
-            )
-            if edge is None:
-                raise InternalAssertion("flow decomposition got stuck mid-path")
-            work[edge.id] -= 1
-            picked.append(edge.id)
-            node = edge.head
-        paths.append(tuple(picked))
+        path = first_path(src, dst, carrying)
+        if path is None:
+            raise InternalAssertion("flow decomposition found no path that carries flow")
+        for edge_id in path:
+            work[edge_id] -= 1
+        paths.append(path)
     if any(v < 0 for v in work.values()):
         raise InternalAssertion("flow decomposition went negative")
     return tuple(paths)
-
-
-def _cancel_cycles(graph: Graph, work: dict[int, int]) -> None:
-    while True:
-        cycle = find_cycle(graph, lambda edge_id: work[edge_id] > 0)
-        if cycle is None:
-            return
-        slack = min(work[e] for e in cycle)
-        for edge_id in cycle:
-            work[edge_id] -= slack

@@ -43,7 +43,7 @@ from .graphs import (
     NodeId,
     classify,
     enumerate_st_paths,
-    simple_paths,
+    first_path,
 )
 from .rational import INFINITY, Cost
 
@@ -630,7 +630,7 @@ def feasible_extension(
             if small_loads.get(edge.id, 0) < big_loads.get(edge.id, 0):
                 yield edge.id, edge.head
 
-    found = next(simple_paths(graph.source, graph.sink, arcs), None)
+    found = first_path(graph.source, graph.sink, arcs)
     if found is None:
         raise InternalAssertion(
             "no extension path found on a series-parallel graph; this should be impossible"

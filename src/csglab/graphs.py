@@ -176,13 +176,29 @@ def classify(graph: Graph) -> GraphClass:
     time linear in the graph; the graph is SP exactly when it collapses to
     the single edge source->sink with no leftover nodes.
     """
-    if find_cycle(graph, lambda edge_id: True) is not None:
+    if not _is_acyclic(graph):
         return GraphClass.GENERAL
     if _is_parallel_link(graph):
         return GraphClass.PARALLEL_LINK
     if _reduces_to_single_edge(graph):
         return GraphClass.SERIES_PARALLEL
     return GraphClass.DAG
+
+
+def _is_acyclic(graph: Graph) -> bool:
+    """Kahn's test (CACM 5(11), 1962): a worklist removes every node whose
+    arcs in have all been removed; the graph is acyclic exactly when every
+    node goes."""
+    waiting = {v: len(graph.incoming[v]) for v in graph.nodes}
+    work = [v for v, count in waiting.items() if count == 0]
+    removed = 0
+    while work:
+        removed += 1
+        for edge in graph.outgoing[work.pop()]:
+            waiting[edge.head] -= 1
+            if waiting[edge.head] == 0:
+                work.append(edge.head)
+    return removed == len(graph.nodes)
 
 
 def _is_parallel_link(graph: Graph) -> bool:
@@ -226,76 +242,39 @@ def _reduces_to_single_edge(graph: Graph) -> bool:
 
 # --- searches ---------------------------------------------------------------
 #
-# Both searches keep their own stack, so neither path length nor graph size
-# is bounded by the interpreter's recursion limit.
+# Every search keeps its own stack, so neither path length nor graph size is
+# bounded by the interpreter's recursion limit.
 
 
-def simple_paths(
+def first_path(
     source: NodeId,
     sink: NodeId,
     arcs: Callable[[NodeId], Iterable[tuple[Label, NodeId]]],
-) -> Iterator[tuple[Label, ...]]:
-    """Simple source->sink paths in depth-first order, as tuples of arc labels.
+) -> tuple[Label, ...] | None:
+    """The first simple source->sink path in depth-first order, as a tuple of
+    arc labels, or None when the sink is unreachable.
 
     ``arcs(node)`` gives the (label, next node) pairs leaving ``node`` in the
-    order to try them; it is called each time the search steps onto the node.
+    order to try them. The path is the one enumeration lists first, but each
+    node is entered once and never re-opened: a node the search has left
+    without reaching the sink cannot lead there by a later route either, and
+    re-entering it by every route, as enumeration must, takes exponential
+    time when the sink is cut off.
     """
-    labels: list[Label] = []
-    visited: set[NodeId] = {source}
-    stack = [(source, iter(arcs(source)))]
+    # the stack is the path: (label that entered a node, the node's untried arcs)
+    entered: set[NodeId] = {source}
+    stack: list[tuple[Label | None, Iterator[tuple[Label, NodeId]]]] = [(None, iter(arcs(source)))]
     while stack:
-        node, out = stack[-1]
-        for label, nxt in out:
-            if nxt in visited:
-                continue
+        for label, nxt in stack[-1][1]:
             if nxt == sink:
-                yield (*labels, label)
-                continue
-            labels.append(label)
-            visited.add(nxt)
-            stack.append((nxt, iter(arcs(nxt))))
-            break
+                return (*(entering for entering, _ in stack[1:]), label)
+            if nxt not in entered:
+                entered.add(nxt)
+                stack.append((label, iter(arcs(nxt))))
+                break
         else:
             stack.pop()
-            visited.discard(node)
-            if labels:
-                labels.pop()
-
-
-def find_cycle(graph: Graph, usable: Callable[[int], bool]) -> list[int] | None:
-    """Edge ids of the first directed cycle met by a three-colour DFS, or None.
-
-    Only edges whose id passes ``usable`` are walked. Start nodes are tried in
-    node order and edges in id order, so the cycle found is deterministic.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = dict.fromkeys(graph.nodes, WHITE)
-    for start in graph.nodes:
-        if color[start] != WHITE:
-            continue
-        color[start] = GRAY
-        # (node, id of the edge that entered it, its remaining outgoing edges)
-        stack = [(start, None, iter(graph.outgoing[start]))]
-        while stack:
-            node, _, out = stack[-1]
-            for edge in out:
-                if not usable(edge.id):
-                    continue
-                nxt = edge.head
-                if color[nxt] == GRAY:
-                    depth = next(i for i, (v, _, _) in enumerate(stack) if v == nxt)
-                    return [entered for _, entered, _ in stack[depth + 1 :]] + [edge.id]
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, edge.id, iter(graph.outgoing[nxt])))
-                    break
-            else:
-                color[node] = BLACK
-                stack.pop()
     return None
-
-
-# --- path enumeration -------------------------------------------------------
 
 
 def enumerate_st_paths(
@@ -318,9 +297,28 @@ def enumerate_st_paths(
     if src == dst:
         raise ParameterViolation("path endpoints must differ")
 
+    # depth-first, re-opening each node when the search backs out of it
     results: list[EdgePath] = []
-    for path in simple_paths(src, dst, lambda node: ((e.id, e.head) for e in graph.outgoing[node])):
-        if len(results) >= cap:
-            raise PathExplosion(f"simple path enumeration from node {src!r} to node {dst!r}", cap)
-        results.append(path)
+    labels: list[int] = []
+    on_path: set[NodeId] = {src}
+    stack = [(src, iter(graph.outgoing[src]))]
+    while stack:
+        node, out = stack[-1]
+        for edge in out:
+            if edge.head == dst:
+                if len(results) >= cap:
+                    raise PathExplosion(
+                        f"simple path enumeration from node {src!r} to node {dst!r}", cap
+                    )
+                results.append((*labels, edge.id))
+            elif edge.head not in on_path:
+                labels.append(edge.id)
+                on_path.add(edge.head)
+                stack.append((edge.head, iter(graph.outgoing[edge.head])))
+                break
+        else:
+            stack.pop()
+            on_path.discard(node)
+            if labels:
+                labels.pop()
     return results

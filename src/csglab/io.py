@@ -25,7 +25,7 @@ from .game import (
     potential,
     sum_cost,
 )
-from .graphs import make_graph
+from .graphs import NodeId, make_graph
 from .rational import as_decimal, format_rational, parse_rational
 
 INSTANCE_VERSION = 1
@@ -89,19 +89,34 @@ def _integer(value: Any, what: str) -> int:
     return value
 
 
+def _node(value: Any, what: str) -> NodeId:
+    """A node id: a JSON string or integer; floats, booleans and null are rejected."""
+    if type(value) not in (str, int):
+        raise InstanceFormatError(f"{what} must be a JSON string or integer, got {value!r}")
+    return value
+
+
+def _array(value: Any, what: str) -> list:
+    """A JSON array; strings and objects are rejected, not split into items."""
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{what} must be a JSON array, got {type(value).__name__}")
+    return value
+
+
 def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
     if doc.get("version") != INSTANCE_VERSION:
         raise InstanceFormatError(f"unsupported instance version {doc.get('version')!r}")
-    nodes = list(doc["nodes"])
-    ids = [_integer(e["id"], "edge id") for e in doc["edges"]]
+    nodes = [_node(v, "node id") for v in _array(doc["nodes"], "nodes")]
+    edges = _array(doc["edges"], "edges")
+    ids = [_integer(e["id"], "edge id") for e in edges]
     graph = make_graph(
         nodes,
-        [(eid, e["tail"], e["head"]) for eid, e in zip(ids, doc["edges"])],
-        doc["source"],
-        doc["sink"],
+        [(eid, _node(e["tail"], "edge tail"), _node(e["head"], "edge head")) for eid, e in zip(ids, edges)],
+        _node(doc["source"], "source"),
+        _node(doc["sink"], "sink"),
     )
     schemes: dict[int, CostSharingScheme] = {}
-    for eid, entry in zip(ids, doc["edges"]):
+    for eid, entry in zip(ids, edges):
         cost = parse_rational(str(entry["cost"]))
         capacity = _integer(entry["capacity"], f"edge {eid}: capacity")
         raw = entry.get("scheme", "ordinary")
@@ -109,7 +124,7 @@ def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
             schemes[eid] = make_ordinary_scheme(cost, capacity)
         elif isinstance(raw, Mapping) and "table" in raw:
             # validated with every other table by make_instance
-            table = tuple(parse_rational(str(v)) for v in raw["table"])
+            table = tuple(parse_rational(str(v)) for v in _array(raw["table"], f"edge {eid}: table"))
             schemes[eid] = CostSharingScheme(cost, capacity, table)
         else:
             raise InstanceFormatError(f"edge {eid}: unknown scheme form {raw!r}")
@@ -117,7 +132,10 @@ def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
     if isinstance(agents, (int, float)):
         agent_arg: int | list = _integer(agents, "agent count")
     else:
-        agent_arg = [(a["source"], a["sink"]) for a in agents]
+        agent_arg = [
+            (_node(a["source"], "agent source"), _node(a["sink"], "agent sink"))
+            for a in _array(agents, "agents")
+        ]
     return make_instance(graph, schemes, agent_arg)
 
 

@@ -11,6 +11,7 @@ overloads an edge: it absorbs addition and dominates every comparison.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -74,13 +75,19 @@ def is_finite(value: Cost) -> bool:
     return not isinstance(value, Infinity)
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or ``"num"`` into a reduced Fraction."""
+    """Parse ``"num/den"`` or ``"num"`` (signed digits over unsigned digits) into a
+    reduced Fraction. Exponents are refused: "1e999999999" would build 10**999999999."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParameterViolation(f"not a valid rational: {text!r} (expected [+-]digits[/digits])")
     try:
-        value = Fraction(text.strip())
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterViolation(f"not a valid rational: {text!r} ({exc})") from None
-    return value
 
 
 def format_rational(value: Cost) -> str:
@@ -91,7 +98,11 @@ def format_rational(value: Cost) -> str:
 
 
 def as_decimal(value: Cost) -> float | None:
-    """Float approximation for reports; None for the infinite cost."""
+    """Float approximation for reports; None for the infinite cost and for
+    values beyond the float range."""
     if isinstance(value, Infinity):
         return None
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return None

@@ -2,10 +2,12 @@ import dataclasses
 import json
 from fractions import Fraction
 
+import pytest
+
 from csglab import instances
 from csglab.analysis import BoundCheck, compute_ratios
 from csglab.cli import main
-from csglab.errors import GenerationFailed
+from csglab.errors import GenerationFailed, InternalAssertion
 from csglab.io import canonical_json, instance_to_document, report_to_document
 from csglab.instances import two_link
 
@@ -254,6 +256,16 @@ def test_gen_generation_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "gen", "random-asymmetric", "--seed", "5", "--n", "2")
     assert code == 2
     assert err == "error: could not build an asymmetric DAG instance for seed 5\n"
+
+
+def test_internal_assertion_keeps_its_traceback(capsys, monkeypatch):
+    # a failed invariant is a bug, not bad input: main must not turn it into exit 2
+    def broken(seed, agents, **kwargs):
+        raise InternalAssertion("invariant failed")
+
+    monkeypatch.setattr(instances, "random_asymmetric", broken)
+    with pytest.raises(InternalAssertion, match="invariant failed"):
+        main(["gen", "random-asymmetric", "--seed", "5", "--n", "2"])
 
 
 def test_dynamics_cap_covers_the_deviation_scan(tmp_path, capsys):

@@ -3,14 +3,16 @@
 Every input here is a little beyond the default limit of 1,000 frames: a
 search that recurses once per edge or once per agent fails on it. The
 classification test runs a much longer path against the clock: a reduction
-that does quadratic work on it takes minutes.
+that does quadratic work on it takes minutes. The chains of parallel pairs
+behind a bottleneck have exponentially many routes into a cut-off sink: a
+one-path search that re-opens nodes walks all of them.
 """
 
 import json
 from time import perf_counter
 
 from csglab.cli import main
-from csglab.flows import decompose_unit_paths
+from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import feasible_extension, make_instance, make_ordinary_scheme
 from csglab.graphs import EdgeLeaf, GraphClass, build_sp_graph, classify, make_graph, series
 
@@ -94,4 +96,42 @@ def test_classify_long_path_in_linear_time():
     graph = path_graph(20_000)
     started = perf_counter()
     assert classify(graph) is GraphClass.SERIES_PARALLEL
+    assert perf_counter() - started < 2
+
+
+def bottleneck_chain(stages):
+    """Pairs of parallel arcs i->i+1 (ids 2i, 2i+1), then the arc stages->stages+1."""
+    edges = [(2 * i + j, i, i + 1) for i in range(stages) for j in (0, 1)]
+    return make_graph(range(stages + 2), edges + [(2 * stages, stages, stages + 1)], 0, stages + 1)
+
+
+def test_max_flow_behind_a_bottleneck_in_linear_time():
+    graph = bottleneck_chain(20)
+    capacities = {e.id: 2 for e in graph.edges} | {40: 1}
+    started = perf_counter()
+    # once the bottleneck is full, the last search finds every pair still open
+    assert max_flow(graph, capacities).value == 1
+    assert perf_counter() - started < 1
+
+
+def test_analyze_on_a_long_bottleneck_chain_stops_at_the_path_cap(tmp_path, capsys):
+    stages = 200
+    graph = bottleneck_chain(stages)
+    doc = {
+        "version": 1,
+        "agents": 2,
+        "nodes": list(graph.nodes),
+        "source": 0,
+        "sink": stages + 1,
+        "edges": [
+            {"id": e.id, "tail": e.tail, "head": e.head, "cost": "1", "capacity": 3}
+            for e in graph.edges
+        ],
+    }
+    doc["edges"][-1]["capacity"] = 2  # the bottleneck: once it is full, every pair is still open
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    started = perf_counter()
+    assert main(["analyze", str(path)]) == 3
+    assert "exceeded the cap of 10000" in capsys.readouterr().err
     assert perf_counter() - started < 2

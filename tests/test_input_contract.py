@@ -2,6 +2,7 @@
 no traceback and no silent coercion of a non-integer field."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -62,3 +63,85 @@ def test_edge_integers_are_not_coerced(field, value):
     doc["edges"][0][field] = value
     with pytest.raises(InstanceFormatError, match="must be a JSON integer"):
         instance_from_document(doc)
+
+
+@pytest.mark.parametrize("cost", ["1e999999999", "0.1", 0.1, True])
+def test_cost_outside_the_rational_grammar_is_rejected_at_once(tmp_path, capsys, cost):
+    doc = two_link_document()
+    doc["edges"][0]["cost"] = cost
+    started = perf_counter()
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert "not a valid rational" in err
+    assert perf_counter() - started < 1
+
+
+def test_table_entry_outside_the_rational_grammar_is_rejected(tmp_path, capsys):
+    doc = two_link_document()
+    doc["edges"][0]["scheme"] = {"table": ["1", "1e-1"]}
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert "not a valid rational: '1e-1'" in err
+
+
+def test_cost_beyond_the_float_range_reports_a_null_decimal(tmp_path, capsys):
+    doc = two_link_document()
+    huge = "1" + "0" * 400
+    for edge in doc["edges"]:
+        edge["cost"] = huge
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["optima"]["sum_cost"]["value"] == {"exact": f"{huge}/1", "decimal": None}
+    assert report["ratios"]["poa_sc"] == {"exact": "1/1", "decimal": 1.0}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("nodes", "st", "nodes must be a JSON array, got str"),
+        ("nodes", {"s": 0, "t": 1}, "nodes must be a JSON array, got dict"),
+        ("edges", {"0": {}}, "edges must be a JSON array, got dict"),
+        ("agents", {"source": "s", "sink": "t"}, "agents must be a JSON array, got dict"),
+        ("agents", "st", "agents must be a JSON array, got str"),
+    ],
+)
+def test_strings_and_objects_are_not_read_as_arrays(tmp_path, capsys, field, value, message):
+    doc = two_link_document()
+    doc[field] = value
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert message in err
+
+
+def test_share_table_must_be_an_array(tmp_path, capsys):
+    doc = two_link_document()
+    doc["edges"][0]["scheme"] = {"table": "21"}
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert "edge 0: table must be a JSON array, got str" in err
+
+
+@pytest.mark.parametrize("bad", [1.0, None, True, [0]])
+@pytest.mark.parametrize("where", ["nodes", "source", "tail", "head", "agent"])
+def test_node_ids_are_strings_or_integers(tmp_path, capsys, where, bad):
+    doc = {
+        "version": 1,
+        "agents": [{"source": 0, "sink": 1}],
+        "nodes": [0, 1],
+        "source": 0,
+        "sink": 1,
+        "edges": [{"id": 0, "tail": 0, "head": 1, "cost": "1", "capacity": 1}],
+    }
+    if where == "nodes":
+        doc["nodes"] = [0, bad]
+    elif where == "source":
+        doc["source"] = bad
+    elif where == "agent":
+        doc["agents"][0]["sink"] = bad
+    else:
+        doc["edges"][0][where] = bad
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"must be a JSON string or integer, got {bad!r}" in err

@@ -7,7 +7,7 @@ from itertools import permutations
 
 from hypothesis import given, settings, strategies as st
 
-from csglab.flows import max_flow
+from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
     StrategyProfile,
     agent_cost,
@@ -29,7 +29,7 @@ from csglab.graphs import (
     build_sp_graph,
     classify,
     enumerate_st_paths,
-    find_cycle,
+    first_path,
     make_graph,
 )
 from csglab.instances import random_sp
@@ -40,6 +40,7 @@ from helpers import (
     oracle_best_response,
     oracle_extension_paths,
     oracle_feasible_profiles,
+    oracle_paths,
     oracle_potential,
 )
 
@@ -79,12 +80,13 @@ def test_sp_unit_capacity_flow_matches_min_parallel_width(expr, cap):
 
 
 @st.composite
-def small_digraphs(draw):
-    """Up to 5 nodes and 8 arcs in any direction: cycles and parallel arcs
-    occur, and edge ids are a random permutation of the arc order."""
-    size = draw(st.integers(min_value=2, max_value=5))
+def small_digraphs(draw, max_nodes=5, max_arcs=8):
+    """Up to ``max_nodes`` nodes and ``max_arcs`` arcs in any direction: cycles
+    and parallel arcs occur, and edge ids are a random permutation of the arc
+    order."""
+    size = draw(st.integers(min_value=2, max_value=max_nodes))
     node = st.integers(min_value=0, max_value=size - 1)
-    arcs = draw(st.lists(st.tuples(node, node).filter(lambda a: a[0] != a[1]), max_size=8))
+    arcs = draw(st.lists(st.tuples(node, node).filter(lambda a: a[0] != a[1]), max_size=max_arcs))
     ids = draw(st.permutations(range(len(arcs))))
     return make_graph(range(size), [(i, u, v) for i, (u, v) in zip(ids, arcs)], 0, size - 1)
 
@@ -109,6 +111,58 @@ def brute_force_paths(graph):
 @given(small_digraphs())
 def test_enumerate_lists_simple_paths_in_lexicographic_order(graph):
     assert enumerate_st_paths(graph) == brute_force_paths(graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs(max_nodes=7, max_arcs=14))
+def test_first_path_is_the_first_enumerated_path(graph):
+    paths = enumerate_st_paths(graph)
+    found = first_path(
+        graph.source, graph.sink, lambda node: [(e.id, e.head) for e in graph.outgoing[node]]
+    )
+    assert found == (paths[0] if paths else None)
+
+
+def greedy_peel(graph, values, count):
+    """The lowest-id greedy walk: from the source, always leave by the lowest
+    edge id that still carries flow (a simple path on an acyclic flow)."""
+    work = dict(values)
+    paths = []
+    for _ in range(count):
+        node, path = graph.source, []
+        while node != graph.sink:
+            edge = min((e for e in graph.outgoing[node] if work[e.id] > 0), key=lambda e: e.id)
+            work[edge.id] -= 1
+            path.append(edge.id)
+            node = edge.head
+        paths.append(tuple(path))
+    return tuple(paths)
+
+
+def subgraph(graph, edges):
+    return make_graph(graph.nodes, [(e.id, e.tail, e.head) for e in edges], graph.source, graph.sink)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_digraphs(max_nodes=6, max_arcs=12), st.data())
+def test_decomposition_peels_the_flow_value_in_simple_paths(graph, data):
+    simple = enumerate_st_paths(graph)
+    # an arc u->v closes a cycle with every path from v back to u
+    cycles = [(e.id, *back) for e in graph.edges for back in oracle_paths(graph, e.head, e.tail)]
+    units = data.draw(st.lists(st.sampled_from(simple), max_size=4)) if simple else []
+    loops = data.draw(st.lists(st.sampled_from(cycles), max_size=2)) if cycles else []
+    values = Counter(edge_id for path in units + loops for edge_id in path)
+    values = {e.id: values[e.id] for e in graph.edges}
+
+    paths = decompose_unit_paths(graph, values)
+
+    assert len(paths) == len(units)
+    assert set(paths) <= set(simple)
+    used = Counter(edge_id for path in paths for edge_id in path)
+    assert all(used[edge_id] <= flow for edge_id, flow in values.items())
+    carrying = [e for e in graph.edges if values[e.id] > 0]
+    if not any(oracle_paths(subgraph(graph, carrying), e.head, e.tail) for e in carrying):
+        assert paths == greedy_peel(graph, values, len(units))
 
 
 def fixpoint_reduces_to_single_edge(graph):
@@ -154,7 +208,8 @@ def fixpoint_reduces_to_single_edge(graph):
 
 
 def oracle_classify(graph):
-    if find_cycle(graph, lambda edge_id: True) is not None:
+    # an arc u->v closes a cycle exactly when v reaches u
+    if any(oracle_paths(graph, e.head, e.tail) for e in graph.edges):
         return GraphClass.GENERAL
     if set(graph.nodes) == {graph.source, graph.sink} and graph.edges and all(
         (e.tail, e.head) == (graph.source, graph.sink) for e in graph.edges

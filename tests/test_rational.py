@@ -55,3 +55,22 @@ def test_format_round_trip():
 def test_as_decimal():
     assert as_decimal(Fraction(1, 4)) == 0.25
     assert as_decimal(INFINITY) is None
+
+
+@pytest.mark.parametrize("text,expected", [(" 3/4 ", Fraction(3, 4)), ("+7", Fraction(7)), ("-0", Fraction(0))])
+def test_parse_rational_allows_signs_and_surrounding_whitespace(text, expected):
+    assert parse_rational(text) == expected
+
+
+@pytest.mark.parametrize(
+    "text", ["1e999999999", "2E3", "0.1", "1.", ".5", "1_000", "1/-2", "1 / 2", "inf", "nan", "", "٣"]
+)
+def test_parse_rational_accepts_only_signed_digits_over_digits(text):
+    with pytest.raises(ParameterViolation, match="expected"):
+        parse_rational(text)
+
+
+def test_as_decimal_is_none_beyond_the_float_range():
+    assert as_decimal(Fraction(10**400)) is None
+    assert as_decimal(Fraction(-(10**400), 3)) is None
+    assert as_decimal(Fraction(1, 10**400)) == 0.0
