@@ -61,6 +61,15 @@ def enumerate_profiles(
     return _feasible_profiles(instance, cap, one_per_orbit=False)
 
 
+def _orbit_size(instance: GameInstance, profile: StrategyProfile) -> int:
+    """The multinomial coefficient: the product of the terminal class sizes'
+    factorials over the product of the factorials of how often each
+    (terminal pair, path) repeats."""
+    arrangements = prod(factorial(size) for size in Counter(instance.terminals).values())
+    repeats = Counter(zip(instance.terminals, profile.paths)).values()
+    return arrangements // prod(factorial(k) for k in repeats)
+
+
 def enumerate_orbits(
     instance: GameInstance, cap: int = DEFAULT_PATH_CAP
 ) -> list[tuple[StrategyProfile, int]]:
@@ -69,41 +78,34 @@ def enumerate_orbits(
     An orbit is the set of profiles reached by permuting agents that share a
     terminal pair. Each comes out as its lexicographically first ordered
     member (ranks non-decreasing within each such class), and the orbits come
-    out in the order of those members. The size is the multinomial
-    coefficient: the product of the class sizes' factorials over the product
-    of the factorials of how often each (terminal pair, path) repeats.
-    ``cap`` still bounds the ordered profile product.
+    out in the order of those members. ``cap`` still bounds the ordered
+    profile product.
     """
-    arrangements = prod(factorial(size) for size in Counter(instance.terminals).values())
     return [
-        (
-            profile,
-            arrangements
-            // prod(factorial(k) for k in Counter(zip(instance.terminals, profile.paths)).values()),
-        )
+        (profile, _orbit_size(instance, profile))
         for profile in _feasible_profiles(instance, cap, one_per_orbit=True)
     ]
 
 
 class _CostedOrbit(NamedTuple):
     profile: StrategyProfile
-    size: int
     sum_cost: int  # times instance.scale, as is max_cost
     max_cost: int
 
 
 def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
-    """Every orbit with both social costs, taken from one agent-cost vector.
+    """Every orbit's representative with both social costs, taken from one
+    agent-cost vector.
 
     Social costs, Nash membership and potentials are the same for every
     member of an orbit, so the representatives stand for the whole orbit.
     """
     out = []
-    for profile, size in enumerate_orbits(instance, cap):
+    for profile in _feasible_profiles(instance, cap, one_per_orbit=True):
         costs = [_scaled_cost(instance, profile, agent) for agent in range(instance.n)]
         if None in costs:
             raise InternalAssertion("an enumerated feasible profile overloads an edge")
-        out.append(_CostedOrbit(profile, size, sum(costs), max(costs, default=0)))
+        out.append(_CostedOrbit(profile, sum(costs), max(costs, default=0)))
     return out
 
 
@@ -161,7 +163,7 @@ def _equilibria(instance: GameInstance, orbits: list[_CostedOrbit]) -> Equilibri
     entries = tuple(
         EquilibriumSummary(
             profile=orbit.profile,
-            multiplicity=orbit.size,
+            multiplicity=_orbit_size(instance, orbit.profile),
             sum_cost=Fraction(orbit.sum_cost, scale),
             max_cost=Fraction(orbit.max_cost, scale),
             potential=potential(instance, orbit.profile),

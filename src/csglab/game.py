@@ -205,12 +205,26 @@ class Deviation:
 
 @dataclass(frozen=True)
 class NashResult:
-    """Truthy iff no agent can strictly improve; otherwise carries a witness."""
+    """Truthy iff no agent can strictly improve.
 
-    witness: Deviation | None
+    ``agent`` is the lowest-index agent with a strictly improving move, or
+    None on an equilibrium. The witness, that agent's best response (its
+    cheapest move, ties to the lexicographically first path), is computed
+    when it is first read.
+    """
+
+    instance: GameInstance = field(repr=False)
+    profile: StrategyProfile
+    agent: int | None
 
     def __bool__(self) -> bool:
-        return self.witness is None
+        return self.agent is None
+
+    @cached_property
+    def witness(self) -> Deviation | None:
+        if self.agent is None:
+            return None
+        return best_response(self.instance, self.profile, self.agent)
 
 
 # --- instances ---------------------------------------------------------------
@@ -389,21 +403,23 @@ def feasible_profiles(
     is None.
     """
     caps = instance.capacities
-    loads: Counter[int] = Counter()
+    loads: dict[int, int] = {}  # used edges only, in the first-use order of a recount
     ranks: list[int] = []  # the rank chosen for each assigned agent
     chosen: list[EdgePath] = []
     rank = 0  # the next rank to try for agent len(ranks)
     while True:
         j = len(ranks)
         if j == len(options):
-            yield StrategyProfile(tuple(chosen))
+            profile = StrategyProfile(tuple(chosen))
+            profile.__dict__["loads"] = dict(loads)  # fill the cached property
+            yield profile
         elif rank < len(options[j]):
             path = options[j][rank]
-            if any(loads[e] + 1 > caps[e] for e in path):
+            if any(loads.get(e, 0) >= caps[e] for e in path):
                 rank += 1
                 continue
             for e in path:
-                loads[e] += 1
+                loads[e] = loads.get(e, 0) + 1
             ranks.append(rank)
             chosen.append(path)
             if j + 1 < len(options):
@@ -413,7 +429,10 @@ def feasible_profiles(
             return
         rank = ranks.pop() + 1
         for e in chosen.pop():
-            loads[e] -= 1
+            if loads[e] == 1:
+                del loads[e]
+            else:
+                loads[e] -= 1
 
 
 # --- costs, potential, equilibrium test --------------------------------------
@@ -579,14 +598,25 @@ def first_improvement(
 
 
 def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
-    """No-regret test; the witness (when falsy) is a strictly improving move."""
+    """No-regret test: one first-improving scan per (terminal pair, path) class.
+
+    Agents with the same terminals on the same path have the same moves, so
+    only the lowest-index agent of each class is scanned, and each scan stops
+    at its first strict improvement. The result names the lowest-index agent
+    that can improve; its witness is computed when read.
+    """
     if not is_feasible(instance, profile):
         raise InfeasibleProfile("equilibrium test requires a feasible profile")
-    for agent in range(len(profile)):
-        deviation = best_response(instance, profile, agent)
-        if deviation is not None:
-            return NashResult(deviation)
-    return NashResult(None)
+    if len(profile.paths) > instance.n:
+        raise _beyond_tables(instance, profile)  # zip below would drop the extra paths
+    scanned = set()
+    for agent, key in enumerate(zip(instance.terminals, profile.paths)):
+        if key in scanned:
+            continue
+        scanned.add(key)
+        if _improving_move(instance, profile, agent, "first_improving") is not None:
+            return NashResult(instance, profile, agent)
+    return NashResult(instance, profile, None)
 
 
 # --- feasible path extension (series-parallel) --------------------------------

@@ -106,6 +106,9 @@ def _array(value: Any, what: str) -> list:
 def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
     if doc.get("version") != INSTANCE_VERSION:
         raise InstanceFormatError(f"unsupported instance version {doc.get('version')!r}")
+    if "recipe" in doc and not isinstance(doc["recipe"], Mapping):
+        # the report copies the recipe as an object
+        raise InstanceFormatError(f"recipe must be a JSON object, got {type(doc['recipe']).__name__}")
     nodes = [_node(v, "node id") for v in _array(doc["nodes"], "nodes")]
     edges = _array(doc["edges"], "edges")
     ids = [_integer(e["id"], "edge id") for e in edges]

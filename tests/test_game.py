@@ -230,6 +230,48 @@ def test_is_nash_requires_feasible_profile():
         is_nash(inst, StrategyProfile(((0,), (0,))))
 
 
+def count_scans(monkeypatch) -> list[str]:
+    """The rule of every deviation scan made from now on, in call order."""
+    from csglab import game
+
+    rules: list[str] = []
+    scan = game._improving_move
+
+    def counted(instance, profile, agent, rule):
+        rules.append(rule)
+        return scan(instance, profile, agent, rule)
+
+    monkeypatch.setattr(game, "_improving_move", counted)
+    return rules
+
+
+def test_is_nash_scans_each_path_class_once(monkeypatch):
+    from csglab.analysis import all_nash
+
+    inst = two_link(9)
+    equilibria = [entry.profile for entry in all_nash(inst).entries]
+    assert equilibria
+    rules = count_scans(monkeypatch)
+    for profile in equilibria:
+        rules.clear()
+        assert is_nash(inst, profile)
+        assert rules == ["first_improving"] * len(set(profile.paths))
+        assert len(rules) <= 2
+
+
+def test_unread_witness_runs_no_best_scan(monkeypatch):
+    inst = two_link(9)
+    # agent 3 is alone on the expensive edge and can improve
+    mixed = inst.profile(((0,),) * 3 + ((1,),) + ((0,),) * 5)
+    rules = count_scans(monkeypatch)
+    result = is_nash(inst, mixed)
+    assert not result
+    assert rules == ["first_improving", "first_improving"]
+    assert result.witness.agent == 3 and result.witness.new_path == (0,)
+    assert result.witness is result.witness
+    assert rules == ["first_improving", "first_improving", "best"]
+
+
 def test_equilibrium_leaves_every_best_response_unchanged():
     from csglab.analysis import all_nash
     from csglab.dynamics import best_response
@@ -293,6 +335,12 @@ def test_costs_reject_a_profile_with_more_paths_than_agents():
     ):
         with pytest.raises(MalformedProfile, match=message):
             evaluate()
+
+
+def test_is_nash_rejects_paths_on_an_agentless_instance():
+    inst = single_edge_instance(agents=0)
+    with pytest.raises(MalformedProfile, match="profile has 1 paths but the instance has 0 agents"):
+        is_nash(inst, inst.partial_profile(((0,),)))
 
 
 def test_feasibility_of_a_profile_with_more_paths_than_agents():

@@ -123,6 +123,15 @@ def test_share_table_must_be_an_array(tmp_path, capsys):
     assert "edge 0: table must be a JSON array, got str" in err
 
 
+@pytest.mark.parametrize("recipe, kind", [("x", "str"), ([["kind", 1]], "list")])
+def test_recipe_must_be_an_object(tmp_path, capsys, recipe, kind):
+    doc = two_link_document()
+    doc["recipe"] = recipe
+    code, err = analyze(tmp_path, capsys, doc)
+    assert code == 2
+    assert f"recipe must be a JSON object, got {kind}" in err
+
+
 @pytest.mark.parametrize("bad", [1.0, None, True, [0]])
 @pytest.mark.parametrize("where", ["nodes", "source", "tail", "head", "agent"])
 def test_node_ids_are_strings_or_integers(tmp_path, capsys, where, bad):

@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
@@ -32,7 +32,7 @@ from csglab.graphs import (
     first_path,
     make_graph,
 )
-from csglab.instances import random_sp
+from csglab.instances import random_asymmetric, random_sp
 from csglab.rational import INFINITY, format_rational, parse_rational
 
 from helpers import (
@@ -387,3 +387,79 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
         verdict = is_nash(inst, profile)
         assert bool(verdict) == all(move is None for move in expected)
         assert verdict.witness == next((m for m in expected if m is not None), None)
+
+
+# --- the equilibrium test against a per-agent brute force -----------------------
+
+
+def some_of(draw, profiles, count=30):
+    return draw(st.randoms(use_true_random=False)).sample(profiles, min(len(profiles), count))
+
+
+@st.composite
+def symmetric_sp_games(draw):
+    """Shared terminals on an SP graph, with table capacities of 1 to agents + 1,
+    so capacities bind."""
+    graph = build_sp_graph(draw(st.one_of(parallel_links(), sp_expressions())))
+    agents = draw(st.integers(min_value=2, max_value=3))
+    schemes = {e.id: draw(table_scheme(agents)) for e in graph.edges_by_id}
+    inst = make_instance(graph, schemes, agents, certify=False)
+    return inst, some_of(draw, oracle_feasible_profiles(inst))
+
+
+@st.composite
+def asymmetric_dag_games(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    inst = random_asymmetric(seed, draw(st.integers(min_value=2, max_value=3)), "mixed")
+    return inst, some_of(draw, oracle_feasible_profiles(inst))
+
+
+@st.composite
+def mixed_terminal_games(draw):
+    """Three or four agents on the terminal pairs of a two-agent DAG game, as in
+    [(s,t),(s,a),(s,t)], so several agents share a class.
+
+    Each profile also comes with a copy in which one agent takes the path of
+    an agent with other terminals. ``is_nash`` takes any profile, and that is
+    the only way two agents with different terminals hold the same path.
+    """
+    base = random_asymmetric(draw(st.integers(min_value=0, max_value=10**6)), 2)
+    terminals = draw(st.lists(st.sampled_from(base.terminals), min_size=3, max_size=4))
+    schemes = {e.id: draw(table_scheme(len(terminals))) for e in base.graph.edges_by_id}
+    inst = make_instance(base.graph, schemes, terminals, certify=False)
+    profiles = some_of(draw, oracle_feasible_profiles(inst))
+    strangers = [(i, j) for i, a in enumerate(terminals) for j, b in enumerate(terminals) if a != b]
+    for profile in list(profiles) if strangers else []:
+        giver, taker = draw(st.sampled_from(strangers))
+        crossed = profile.replace(taker, profile.paths[giver])
+        if is_feasible(inst, crossed):
+            profiles.append(crossed)
+    return inst, profiles
+
+
+def shared_path_game():
+    """Agent 0 (s->t) is content on the direct edge; agent 1 (s->a) holds the
+    same path, pays 1 there and would pay 1/2 on its own edge s->a."""
+    graph = make_graph(["s", "a", "t"], [(0, "s", "a"), (1, "a", "t"), (2, "s", "t")], "s", "t")
+    schemes = {
+        0: make_ordinary_scheme(Fraction(1, 2), 1),
+        1: make_ordinary_scheme(1, 1),
+        2: make_ordinary_scheme(2, 2),
+    }
+    inst = make_instance(graph, schemes, [("s", "t"), ("s", "a")])
+    return inst, [StrategyProfile(((2,), (2,)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(symmetric_sp_games(), asymmetric_dag_games(), mixed_terminal_games()))
+@example(shared_path_game())
+def test_is_nash_matches_a_per_agent_brute_force(game):
+    inst, profiles = game
+    for profile in profiles:
+        moves = [oracle_best_response(inst, profile, agent) for agent in range(inst.n)]
+        first = next((move for move in moves if move is not None), None)
+        verdict = is_nash(inst, profile)
+        assert bool(verdict) == (first is None)
+        # the lowest-index improving agent and its cheapest move
+        assert verdict.witness == first
+        assert (verdict.witness is None) == bool(verdict)
