@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
 from .game import GameInstance, StrategyProfile, _scaled_cost, feasible_profiles, is_nash, potential
-from .graphs import DEFAULT_PATH_CAP, GraphClass, classify
+from .graphs import DEFAULT_PATH_CAP, EdgePath, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
 
@@ -28,37 +28,28 @@ class Criterion(Enum):
     MAX = "mc"
 
 
-def _feasible_profiles(
-    instance: GameInstance, cap: int, one_per_orbit: bool
-) -> list[StrategyProfile]:
-    """Feasible profiles, ordered lexicographically by per-agent path rank.
+def _path_options(instance: GameInstance, cap: int) -> list[tuple[EdgePath, ...]]:
+    """Each agent's paths, in rank order.
 
     Guards both the per-agent path counts and the product of the counts with
     ``cap``; beyond that the instance is declared too large for exhaustive
-    work. With ``one_per_orbit`` an agent's rank starts at the rank of the
-    previous agent with the same terminals.
+    work.
     """
-    option_lists = [instance.agent_paths(j, cap) for j in range(instance.n)]
-    counts = [len(options) for options in option_lists]
+    options = [instance.agent_paths(j, cap) for j in range(instance.n)]
+    counts = [len(paths) for paths in options]
     combinations = prod(counts, start=1)
     if combinations > cap:
         product = "×".join(map(str, counts)) or "1"
         raise PathExplosion(f"ordered profile product {product}", cap, combinations)
-
-    previous: list[int | None] = [None] * instance.n
-    if one_per_orbit:
-        last: dict = {}
-        for j, pair in enumerate(instance.terminals):
-            previous[j] = last.get(pair)
-            last[pair] = j
-    return list(feasible_profiles(instance, option_lists, previous))
+    return options
 
 
 def enumerate_profiles(
     instance: GameInstance, cap: int = DEFAULT_PATH_CAP
 ) -> list[StrategyProfile]:
     """All feasible profiles, ordered lexicographically by per-agent path rank."""
-    return _feasible_profiles(instance, cap, one_per_orbit=False)
+    options = _path_options(instance, cap)
+    return list(feasible_profiles(instance, options, [None] * instance.n))
 
 
 def _orbit_size(instance: GameInstance, profile: StrategyProfile) -> int:
@@ -81,31 +72,80 @@ def enumerate_orbits(
     out in the order of those members. ``cap`` still bounds the ordered
     profile product.
     """
-    return [
-        (profile, _orbit_size(instance, profile))
-        for profile in _feasible_profiles(instance, cap, one_per_orbit=True)
-    ]
+    return [(o.profile, _orbit_size(instance, o.profile)) for o in _costed_orbits(instance, cap)]
 
 
 class _CostedOrbit(NamedTuple):
     profile: StrategyProfile
     sum_cost: int  # times instance.scale, as is max_cost
     max_cost: int
+    content: bool  # the last agent has no strictly cheaper path
 
 
 def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
-    """Every orbit's representative with both social costs, taken from one
-    agent-cost vector.
+    """Every orbit's representative with both social costs, and whether its
+    last agent is content.
 
     Social costs, Nash membership and potentials are the same for every
     member of an orbit, so the representatives stand for the whole orbit.
+    The backtracker assigns the head, agents 0..n-2; one loop over all of the
+    last agent's paths then prices each path Q against the head's loads:
+    Q is blocked if it meets a full edge, and otherwise costs the last agent
+    the sum of s_e(x_e + 1) over its edges, which is its cost in the profile
+    head + Q and its cost after moving to Q from any other path. The
+    unblocked Q from the rank of the previous agent with the same terminals
+    on complete the head's orbits, and the last agent is content exactly
+    where it pays the least of these prices. Head agents on the same path as
+    the agent before them share its cost.
     """
+    options = _path_options(instance, cap)
+    if not options:
+        return [_CostedOrbit(StrategyProfile(()), 0, 0, True)]
+    previous: list[int | None] = []
+    seen: dict = {}
+    for j, pair in enumerate(instance.terminals):
+        previous.append(seen.get(pair))
+        seen[pair] = j
+    *head_options, last_options = options
+    anchor = previous.pop()
+    caps = instance.capacities
+    shares = instance.scaled_shares
     out = []
-    for profile in _feasible_profiles(instance, cap, one_per_orbit=True):
-        costs = [_scaled_cost(instance, profile, agent) for agent in range(instance.n)]
-        if None in costs:
-            raise InternalAssertion("an enumerated feasible profile overloads an edge")
-        out.append(_CostedOrbit(profile, sum(costs), max(costs, default=0)))
+    for head in feasible_profiles(instance, head_options, previous):
+        head_loads = head.loads
+        prices: list[int | None] = []
+        for path in last_options:
+            price = 0
+            for e in path:
+                load = head_loads.get(e, 0)
+                if load >= caps[e]:
+                    prices.append(None)
+                    break
+                price += shares[e][load + 1]
+            else:
+                prices.append(price)
+        floor = min((p for p in prices if p is not None), default=None)
+        start = 0 if anchor is None else last_options.index(head.paths[anchor])
+        for rank in range(start, len(last_options)):
+            price = prices[rank]
+            if price is None:
+                continue
+            path = last_options[rank]
+            loads = dict(head_loads)
+            for e in path:
+                loads[e] = loads.get(e, 0) + 1
+            profile = StrategyProfile(head.paths + (path,))
+            profile.__dict__["loads"] = loads  # fill the cached property
+            costs = []
+            cost = shared = None
+            for agent, held in enumerate(head.paths):
+                if held is not shared:
+                    cost, shared = _scaled_cost(instance, profile, agent), held
+                costs.append(cost)
+            if None in costs:
+                raise InternalAssertion("an enumerated feasible profile overloads an edge")
+            costs.append(price)
+            out.append(_CostedOrbit(profile, sum(costs), max(costs), price == floor))
     return out
 
 
@@ -169,7 +209,7 @@ def _equilibria(instance: GameInstance, orbits: list[_CostedOrbit]) -> Equilibri
             potential=potential(instance, orbit.profile),
         )
         for orbit in orbits
-        if is_nash(instance, orbit.profile)
+        if orbit.content and is_nash(instance, orbit.profile)
     )
     if instance.n > 0 and not entries:
         raise InternalAssertion("a feasible game must have a Nash equilibrium")

@@ -175,10 +175,6 @@ class StrategyProfile:
         return dict(Counter(edge_id for path in self.paths for edge_id in path))
 
     @cached_property
-    def edge_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(path) for path in self.paths)
-
-    @cached_property
     def used_edges(self) -> frozenset[int]:
         return frozenset(self.loads)
 
@@ -538,7 +534,7 @@ def _improving_move(
     loads = profile.loads
     caps = instance.capacities
     shares = instance.scaled_shares
-    own = profile.edge_sets[agent]
+    own = frozenset(profile.paths[agent])
     current = _scaled_cost(instance, profile, agent)
     if current is None:
         raise InfeasibleProfile("deviation search requires a feasible profile")

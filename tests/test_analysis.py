@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from csglab import analysis
 from csglab.analysis import (
     Criterion,
     all_nash,
@@ -15,6 +16,7 @@ from csglab.analysis import (
 from csglab.dynamics import run_dynamics
 from csglab.errors import NotSeriesParallel, PathExplosion
 from csglab.game import (
+    agent_cost,
     is_nash,
     make_instance,
     make_ordinary_scheme,
@@ -26,7 +28,7 @@ from csglab.game import (
 from csglab.graphs import GraphClass, make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
 
-from helpers import oracle_feasible_profiles, oracle_is_nash
+from helpers import oracle_best_response, oracle_feasible_profiles, oracle_is_nash
 
 EPS = Fraction(1, 100)
 
@@ -191,6 +193,38 @@ def test_orbit_analysis_matches_ordered_reference():
             ]
             assert got == entries
             assert equilibria.total_count == total
+
+
+def test_is_nash_runs_only_where_the_last_agent_is_content(monkeypatch):
+    inst = random_asymmetric(7298, 3, "mixed")  # three distinct terminal pairs
+    tested = []
+    real = analysis.is_nash
+    monkeypatch.setattr(analysis, "is_nash", lambda i, p: tested.append(p) or real(i, p))
+    report = compute_ratios(inst)
+
+    last = inst.n - 1
+    content = []
+    orbits = [profile for profile, _ in enumerate_orbits(inst)]
+    for profile in orbits:
+        cost = agent_cost(inst, profile, last)
+        move = oracle_best_response(inst, profile, last)
+        if (cost if move is None else move.new_cost) == cost:
+            content.append(profile)
+    assert tested == content
+    assert len(report.equilibria.entries) < len(content) < len(orbits)  # 2 < 7 < 14
+
+
+def test_last_agent_blocked_from_its_cheaper_link_is_an_equilibrium():
+    # link 0 costs 1 with room for one agent, link 1 costs 3 with room for
+    # two; in ((0,), (1,)) the last agent would pay 1 on link 0, but it is full
+    graph = make_graph(["s", "t"], [(0, "s", "t"), (1, "s", "t")], "s", "t")
+    inst = make_instance(graph, {0: make_ordinary_scheme(1, 1), 1: make_ordinary_scheme(3, 2)}, 2)
+    equilibria = compute_ratios(inst).equilibria
+    assert [
+        (e.profile.paths, e.multiplicity, e.sum_cost, e.max_cost, e.potential)
+        for e in equilibria.entries
+    ] == [(((0,), (1,)), 2, 4, 3, 4)]
+    assert equilibria.total_count == 2
 
 
 # --- optima -----------------------------------------------------------------------

@@ -5,7 +5,9 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+from csglab.analysis import compute_ratios
 
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
@@ -18,7 +20,10 @@ from csglab.game import (
     make_instance,
     make_ordinary_scheme,
     make_scheme,
+    make_threshold_scheme,
+    max_cost,
     potential,
+    sum_cost,
     validate_scheme,
 )
 from csglab.graphs import (
@@ -32,7 +37,7 @@ from csglab.graphs import (
     first_path,
     make_graph,
 )
-from csglab.instances import random_asymmetric, random_sp
+from csglab.instances import random_asymmetric, random_sp, two_link
 from csglab.rational import INFINITY, format_rational, parse_rational
 
 from helpers import (
@@ -463,3 +468,75 @@ def test_is_nash_matches_a_per_agent_brute_force(game):
         # the lowest-index improving agent and its cheapest move
         assert verdict.witness == first
         assert (verdict.witness is None) == bool(verdict)
+
+
+# --- orbit analysis against is_nash on every orbit --------------------------------
+
+
+@st.composite
+def threshold_or_table(draw, agents):
+    """A random table or a threshold table, with capacity 1..agents + 1."""
+    if draw(st.booleans()):
+        return draw(table_scheme(agents))
+    capacity = draw(st.integers(min_value=1, max_value=agents + 1))
+    base = draw(st.integers(min_value=0, max_value=12))
+    return make_threshold_scheme(base, capacity, draw(st.integers(min_value=1, max_value=capacity)))
+
+
+@st.composite
+def symmetric_orbit_games(draw):
+    graph = build_sp_graph(draw(st.one_of(parallel_links(), sp_expressions())))
+    agents = draw(st.integers(min_value=0, max_value=3))
+    schemes = {e.id: draw(threshold_or_table(agents)) for e in graph.edges_by_id}
+    return make_instance(graph, schemes, agents, certify=False)
+
+
+@st.composite
+def asymmetric_orbit_games(draw):
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return random_asymmetric(seed, draw(st.integers(min_value=1, max_value=3)), "mixed")
+
+
+@st.composite
+def split_class_games(draw):
+    """The last agent shares its terminal pair with agent 0 but not with the
+    agent before it, as in [(s,t),(s,a),(s,t)]."""
+    base = random_asymmetric(draw(st.integers(min_value=0, max_value=10**6)), 2)
+    first, other = base.terminals
+    middle = draw(st.lists(st.sampled_from(base.terminals), max_size=1))
+    terminals = [first, *middle, other, first]
+    schemes = {e.id: draw(threshold_or_table(len(terminals))) for e in base.graph.edges_by_id}
+    return make_instance(base.graph, schemes, terminals, certify=False)
+
+
+def one_link_game(agents):
+    graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
+    return make_instance(graph, {0: make_ordinary_scheme(2, 1)}, agents)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(symmetric_orbit_games(), asymmetric_orbit_games(), split_class_games()))
+@example(one_link_game(0))
+@example(one_link_game(1))
+@example(two_link(3))
+def test_orbit_analysis_matches_is_nash_on_every_orbit(inst):
+    profiles = oracle_feasible_profiles(inst)
+    assume(profiles)
+    orbits: dict = {}  # first ordered member and size of each orbit, in order
+    for profile in profiles:
+        key = tuple(sorted(zip(map(repr, inst.terminals), profile.paths)))
+        first, size = orbits.get(key, (profile, 0))
+        orbits[key] = (first, size + 1)
+    expected = [
+        (p, size, sum_cost(inst, p), max_cost(inst, p), potential(inst, p))
+        for p, size in orbits.values()
+        if is_nash(inst, p)
+    ]
+
+    report = compute_ratios(inst)
+    got = [(e.profile, e.multiplicity, e.sum_cost, e.max_cost, e.potential) for e in report.equilibria.entries]
+    assert got == expected
+    assert report.equilibria.total_count == sum(size for _, size, *_ in expected)
+    for optimum, cost in ((report.opt_sc, sum_cost), (report.opt_mc, max_cost)):
+        best = min(profiles, key=lambda p: cost(inst, p))  # min keeps the first of equals
+        assert optimum == (best, cost(inst, best))
