@@ -10,7 +10,6 @@ statistics leave as Fractions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, prod
@@ -170,8 +169,7 @@ def optimal_profile(
     return _first_minimum(instance, _costed_orbits(instance, cap), criterion)
 
 
-@dataclass(frozen=True)
-class EquilibriumSummary:
+class EquilibriumSummary(NamedTuple):
     """One equilibrium up to agent permutation, with its social statistics."""
 
     profile: StrategyProfile
@@ -181,8 +179,7 @@ class EquilibriumSummary:
     potential: Fraction
 
 
-@dataclass(frozen=True)
-class EquilibriumSet:
+class EquilibriumSet(NamedTuple):
     """Every Nash equilibrium, reported deduplicated up to agent permutation.
 
     Permuting agents with identical terminals never changes the social
@@ -221,16 +218,14 @@ def all_nash(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Equilibrium
     return _equilibria(instance, _costed_orbits(instance, cap))
 
 
-@dataclass(frozen=True)
-class RatioValue:
+class RatioValue(NamedTuple):
     """Exact equilibrium/optimum ratio; flagged when the optimum cost is zero."""
 
     value: Cost
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """Verdict for one claimed bound, with a witness profile when violated."""
 
     tag: str
@@ -241,8 +236,7 @@ class BoundCheck:
     witness: StrategyProfile | None = None
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     graph_class: GraphClass
     agents: int
     symmetric: bool

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import flows
 from .errors import (
@@ -65,8 +66,7 @@ class DeviationPolicy:
 DEFAULT_POLICY = DeviationPolicy()
 
 
-@dataclass(frozen=True)
-class DynamicsStep:
+class DynamicsStep(NamedTuple):
     agent: int
     old_path: EdgePath
     new_path: EdgePath
@@ -74,8 +74,7 @@ class DynamicsStep:
     potential_after: Fraction
 
 
-@dataclass(frozen=True)
-class DynamicsTrace:
+class DynamicsTrace(NamedTuple):
     """Executed deviations plus the terminal equilibrium they reached."""
 
     start: StrategyProfile
@@ -154,8 +153,7 @@ def run_dynamics(
 # --- low-max-cost equilibrium (augmenting-path rebuild) -----------------------
 
 
-@dataclass(frozen=True)
-class RebuildRound:
+class RebuildRound(NamedTuple):
     """Bookkeeping for one rebuild of an equilibrium whose max-cost is too high.
 
     All values are in the instance's own units.
@@ -170,8 +168,7 @@ class RebuildRound:
     settled_potential: Fraction
 
 
-@dataclass(frozen=True)
-class ConstructiveResult:
+class ConstructiveResult(NamedTuple):
     equilibrium: StrategyProfile
     rounds: tuple[RebuildRound, ...]
     traces: tuple[DynamicsTrace, ...]

@@ -7,23 +7,20 @@ max-flow results and augmenting paths deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InfeasibleFlow, InternalAssertion, ParameterViolation
 from .graphs import EdgePath, Graph, NodeId, first_path
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     """Per-edge integer flow values plus the number of unit paths carried."""
 
     values: Mapping[int, int]
     value: int
 
 
-@dataclass(frozen=True)
-class ResidualArc:
+class ResidualArc(NamedTuple):
     """One step of a residual path: traverse ``edge_id`` forward or backward."""
 
     edge_id: int

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import flows
 from .errors import (
@@ -53,17 +53,16 @@ RationalLike = Union[int, Fraction]
 # --- cost-sharing schemes ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SchemeProblem:
+class SchemeProblem(NamedTuple):
     """One violated scheme property, identified by property id and table index."""
 
     prop: str  # "1" non-increasing, "2" share floor, "3" solo price
+    # index shadows tuple.index; it stays because it is a public field name
     index: int  # 1-based load at which the property fails
     detail: str
 
 
-@dataclass(frozen=True)
-class CostSharingScheme:
+class CostSharingScheme(NamedTuple):
     """Per-edge share table: ``shares[x-1]`` is the price per agent at load x.
 
     A valid table is non-increasing, bounded below by base_cost / x, and
@@ -188,8 +187,7 @@ class StrategyProfile:
         return len(self.paths)
 
 
-@dataclass(frozen=True)
-class Deviation:
+class Deviation(NamedTuple):
     """A strictly improving unilateral path change for one agent."""
 
     agent: int
@@ -411,15 +409,17 @@ def feasible_profiles(
             yield profile
         elif rank < len(options[j]):
             path = options[j][rank]
-            if any(loads.get(e, 0) >= caps[e] for e in path):
-                rank += 1
-                continue
             for e in path:
-                loads[e] = loads.get(e, 0) + 1
-            ranks.append(rank)
-            chosen.append(path)
-            if j + 1 < len(options):
-                rank = 0 if previous[j + 1] is None else ranks[previous[j + 1]]
+                if loads.get(e, 0) >= caps[e]:
+                    rank += 1
+                    break
+            else:
+                for e in path:
+                    loads[e] = loads.get(e, 0) + 1
+                ranks.append(rank)
+                chosen.append(path)
+                if j + 1 < len(options):
+                    rank = 0 if previous[j + 1] is None else ranks[previous[j + 1]]
             continue
         if not ranks:
             return

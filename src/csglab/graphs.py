@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, TypeVar, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 from .errors import ParameterViolation, PathExplosion
 
@@ -21,8 +21,7 @@ Label = TypeVar("Label")
 DEFAULT_PATH_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     tail: NodeId
     head: NodeId

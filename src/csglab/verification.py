@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import dynamics as dyn
 from .analysis import Criterion, compute_ratios, enumerate_profiles, optimal_profile, verify_lemma_cost_bound
@@ -33,8 +33,7 @@ from .rational import format_rational
 EPS_DEFAULT = Fraction(1, 1000)
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     criterion: str
     claim: str
     instance: str
@@ -43,8 +42,7 @@ class CheckRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     rows: tuple[CheckRow, ...]
     elapsed_s: float
 

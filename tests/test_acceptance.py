@@ -4,7 +4,6 @@ The criteria run at their full documented sizes through the same driver the
 `csglab verify` subcommand uses; run with ``pytest -s`` to see the lines.
 """
 
-import dataclasses
 import hashlib
 
 import pytest
@@ -63,7 +62,7 @@ def plant_in_first_report(monkeypatch, change):
         calls.append(instance)
         if len(calls) > 1:
             return report
-        return dataclasses.replace(report, bounds=tuple(change(report.bounds)))
+        return report._replace(bounds=tuple(change(report.bounds)))
 
     monkeypatch.setattr(verification, "compute_ratios", planted)
 
@@ -75,7 +74,7 @@ def verdicts(rows):
 def test_c4_row_fails_on_a_planted_violation(monkeypatch):
     plant_in_first_report(
         monkeypatch,
-        lambda bounds: [dataclasses.replace(b, holds=b.tag != "Thm9:PoA_mc<=n") for b in bounds],
+        lambda bounds: [b._replace(holds=b.tag != "Thm9:PoA_mc<=n") for b in bounds],
     )
     rows = verification.criterion_4_sp_upper_bounds(count=20)
     assert verdicts(rows) == {
@@ -104,7 +103,7 @@ def test_c4_row_fails_on_a_dropped_verdict(monkeypatch):
 def test_c5_row_fails_on_a_planted_violation(monkeypatch):
     plant_in_first_report(
         monkeypatch,
-        lambda bounds: [dataclasses.replace(b, holds=not b.tag.startswith("Thm14:")) for b in bounds],
+        lambda bounds: [b._replace(holds=not b.tag.startswith("Thm14:")) for b in bounds],
     )
     rows = verification.criterion_5_asymmetric(count=10)
     assert verdicts(rows) == {"PoS_sc<=n [Thm13]": True, "PoS_mc<=n^2 [Thm14]": False}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from fractions import Fraction
 
@@ -157,7 +156,7 @@ def _report_with_violated_mc_bound():
     )
     kept = tuple(c for c in report.bounds if c.tag != violated.tag)
     assert all(c.holds for c in kept)
-    return dataclasses.replace(report, bounds=kept + (violated,))
+    return report._replace(bounds=kept + (violated,))
 
 
 def test_report_counts_only_shown_bounds():
