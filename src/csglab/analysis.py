@@ -17,7 +17,16 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
-from .game import GameInstance, StrategyProfile, _scaled_cost, feasible_profiles, is_nash, potential
+from .game import (
+    GameInstance,
+    StrategyProfile,
+    _loaded_profile,
+    _prices,
+    _scaled_cost,
+    feasible_profiles,
+    is_nash,
+    potential,
+)
 from .graphs import DEFAULT_PATH_CAP, EdgePath, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
@@ -87,15 +96,13 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
 
     Social costs, Nash membership and potentials are the same for every
     member of an orbit, so the representatives stand for the whole orbit.
-    The backtracker assigns the head, agents 0..n-2; one loop over all of the
-    last agent's paths then prices each path Q against the head's loads:
-    Q is blocked if it meets a full edge, and otherwise costs the last agent
-    the sum of s_e(x_e + 1) over its edges, which is its cost in the profile
-    head + Q and its cost after moving to Q from any other path. The
-    unblocked Q from the rank of the previous agent with the same terminals
-    on complete the head's orbits, and the last agent is content exactly
-    where it pays the least of these prices. Head agents on the same path as
-    the agent before them share its cost.
+    The backtracker assigns the head, agents 0..n-2; ``_prices`` then prices
+    each of the last agent's paths Q against the head's loads, which is its
+    cost in the profile head + Q and its cost after moving to Q from any
+    other path. The unblocked Q from the rank of the previous agent with the
+    same terminals on complete the head's orbits, and the last agent is
+    content exactly where it pays the least of these prices. Head agents on
+    the same path as the agent before them share its cost.
     """
     options = _path_options(instance, cap)
     if not options:
@@ -107,22 +114,10 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
         seen[pair] = j
     *head_options, last_options = options
     anchor = previous.pop()
-    caps = instance.capacities
-    shares = instance.scaled_shares
     out = []
     for head in feasible_profiles(instance, head_options, previous):
         head_loads = head.loads
-        prices: list[int | None] = []
-        for path in last_options:
-            price = 0
-            for e in path:
-                load = head_loads.get(e, 0)
-                if load >= caps[e]:
-                    prices.append(None)
-                    break
-                price += shares[e][load + 1]
-            else:
-                prices.append(price)
+        prices = list(_prices(instance, head_loads, last_options))
         floor = min((p for p in prices if p is not None), default=None)
         start = 0 if anchor is None else last_options.index(head.paths[anchor])
         for rank in range(start, len(last_options)):
@@ -133,8 +128,7 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
             loads = dict(head_loads)
             for e in path:
                 loads[e] = loads.get(e, 0) + 1
-            profile = StrategyProfile(head.paths + (path,))
-            profile.__dict__["loads"] = loads  # fill the cached property
+            profile = _loaded_profile(head.paths + (path,), loads)
             costs = []
             cost = shared = None
             for agent, held in enumerate(head.paths):

@@ -22,7 +22,7 @@ from .errors import (
     ParameterViolation,
     StepCapExceeded,
 )
-# best_response and first_improvement are re-exported from game, next to is_nash
+# best_response is re-exported from game, next to is_nash
 from .game import (
     GameInstance,
     StrategyProfile,
@@ -30,7 +30,6 @@ from .game import (
     _scaled_potential,
     agent_cost,
     best_response,
-    first_improvement,
     is_feasible,
     max_cost,
     potential,

@@ -187,6 +187,13 @@ class StrategyProfile:
         return len(self.paths)
 
 
+def _loaded_profile(paths: tuple[EdgePath, ...], loads: dict[int, int]) -> StrategyProfile:
+    """A profile whose ``loads`` cache is filled with the loads of ``paths``."""
+    profile = StrategyProfile(paths)
+    profile.__dict__["loads"] = loads
+    return profile
+
+
 class Deviation(NamedTuple):
     """A strictly improving unilateral path change for one agent."""
 
@@ -404,9 +411,7 @@ def feasible_profiles(
     while True:
         j = len(ranks)
         if j == len(options):
-            profile = StrategyProfile(tuple(chosen))
-            profile.__dict__["loads"] = dict(loads)  # fill the cached property
-            yield profile
+            yield _loaded_profile(tuple(chosen), dict(loads))
         elif rank < len(options[j]):
             path = options[j][rank]
             for e in path:
@@ -514,66 +519,67 @@ def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     return Fraction(_scaled_potential(instance, profile), instance.scale)
 
 
+def _prices(
+    instance: GameInstance,
+    others: Mapping[int, int],
+    paths: Iterable[EdgePath],
+    limit: int | None = None,
+) -> Iterator[int | None]:
+    """scale * what one agent pays on each path, given the loads ``others``
+    of all the other agents: the sum of s_e(others_e + 1) over the path's
+    edges. This is the agent's cost after moving to the path, and so the
+    one price behind every deviation. None for a path that meets an edge
+    the others already fill, or whose partial sum reaches ``limit``.
+    """
+    caps = instance.capacities
+    shares = instance.scaled_shares
+    for path in paths:
+        price = 0
+        for e in path:
+            load = others.get(e, 0)
+            if load >= caps[e]:
+                break
+            price += shares[e][load + 1]
+            if limit is not None and price >= limit:
+                break
+        else:
+            yield price
+            continue
+        yield None
+
+
 def _improving_move(
     instance: GameInstance,
     profile: StrategyProfile,
     agent: int,
     rule: str,
 ) -> tuple[EdgePath, int, int] | None:
-    """Scan candidate paths in lexicographic order for a strict improvement.
+    """Scan the agent's paths in lexicographic order for a strict improvement.
 
-    Candidate weights: an edge already on the agent's path keeps its current
-    share; a foreign edge with spare capacity costs its share at load + 1; a
-    foreign edge at capacity blocks the candidate. Partial sums are compared
-    against the best known cost, so ties never replace an earlier candidate
-    and the winner is the lexicographically first cheapest path. Returns the
+    Every path, the held one included, is priced against the other agents'
+    loads; the held path's price is the current cost, so pricing with
+    ``limit=current`` keeps exactly the strictly cheaper paths. "best" takes
+    the first of the cheapest, "first_improving" the first. Returns the
     winner with the agent's current and new cost, both times ``scale``.
     """
     if len(profile.paths) > instance.n:
         raise _beyond_tables(instance, profile)
-    loads = profile.loads
-    caps = instance.capacities
-    shares = instance.scaled_shares
-    own = frozenset(profile.paths[agent])
-    current = _scaled_cost(instance, profile, agent)
+    held = profile.paths[agent]
+    others = dict(profile.loads)
+    for e in held:
+        others[e] -= 1
+    current = next(_prices(instance, others, (held,)))
     if current is None:
         raise InfeasibleProfile("deviation search requires a feasible profile")
 
     best = None
-    threshold = current
-    for candidate in instance.agent_paths(agent):
-        if candidate == profile.paths[agent]:
-            continue
-        cost = 0
-        for edge_id in candidate:
-            if edge_id in own:
-                cost += shares[edge_id][loads[edge_id]]
-            else:
-                load = loads.get(edge_id, 0)
-                if load >= caps[edge_id]:
-                    break
-                cost += shares[edge_id][load + 1]
-            if cost >= threshold:
-                break
-        else:
-            best = (candidate, current, cost)
+    options = instance.agent_paths(agent)
+    for candidate, price in zip(options, _prices(instance, others, options, current)):
+        if price is not None and (best is None or price < best[2]):
+            best = (candidate, current, price)
             if rule == "first_improving":
                 break
-            threshold = cost
     return best
-
-
-def _deviation(
-    instance: GameInstance, profile: StrategyProfile, agent: int, rule: str
-) -> Deviation | None:
-    move = _improving_move(instance, profile, agent, rule)
-    if move is None:
-        return None
-    new_path, old_cost, new_cost = move
-    scale = instance.scale
-    return Deviation(
-        agent, profile.paths[agent], new_path, Fraction(old_cost, scale), Fraction(new_cost, scale)
-    )
 
 
 def best_response(
@@ -584,13 +590,14 @@ def best_response(
     The agent's current path is always available, so a feasible profile can
     never leave an agent without options; ties favour staying put.
     """
-    return _deviation(instance, profile, agent, "best")
-
-
-def first_improvement(
-    instance: GameInstance, profile: StrategyProfile, agent: int
-) -> Deviation | None:
-    return _deviation(instance, profile, agent, "first_improving")
+    move = _improving_move(instance, profile, agent, "best")
+    if move is None:
+        return None
+    new_path, old_cost, new_cost = move
+    scale = instance.scale
+    return Deviation(
+        agent, profile.paths[agent], new_path, Fraction(old_cost, scale), Fraction(new_cost, scale)
+    )
 
 
 def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:

@@ -297,10 +297,6 @@ class InstanceRecipe:
     kind: str  # fig2 | fig3 | two-link | random-sp | random-asymmetric | custom
     params: Mapping[str, object] = field(default_factory=dict)
 
-    def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.kind}({inner})"
-
     def as_document(self) -> dict:
         return {"kind": self.kind, "params": {k: str(v) for k, v in self.params.items()}}
 

@@ -91,6 +91,20 @@ def oracle_best_response(
     return Deviation(agent, profile.paths[agent], best, current, best_cost)
 
 
+def oracle_first_improvement(
+    instance: GameInstance, profile: StrategyProfile, agent: int
+) -> Deviation | None:
+    """The first path of the agent, in oracle_paths order, whose agent_cost in
+    the replaced profile is strictly below the current cost."""
+    current = agent_cost(instance, profile, agent)
+    s, t = instance.terminals[agent]
+    for path in oracle_paths(instance.graph, s, t):
+        cost = agent_cost(instance, profile.replace(agent, path), agent)
+        if cost < current:
+            return Deviation(agent, profile.paths[agent], path, current, cost)
+    return None
+
+
 def oracle_potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     """Direct double loop over edges and loads."""
     total = Fraction(0)

@@ -8,7 +8,6 @@ from csglab.dynamics import (
     DeviationPolicy,
     RebuildRound,
     best_response,
-    first_improvement,
     low_max_cost_equilibrium,
     run_dynamics,
     _reinsert_agent,
@@ -63,9 +62,10 @@ def test_best_response_ties_do_not_move():
 def test_first_improvement_prefers_lexicographic_path():
     inst = overhead_parallel(3, EPS)
     crowded = inst.profile(((3,), (3,), (3,)))
-    move = first_improvement(inst, crowded, 1)
-    assert move is not None
-    assert move.new_path == (0,)  # lowest edge id that strictly improves
+    trace = run_dynamics(inst, crowded, DeviationPolicy(rule="first_improving"))
+    step = trace.steps[0]
+    # edge 0 is the lowest edge id that strictly improves
+    assert (step.agent, step.old_path, step.new_path) == (0, (3,), (0,))
 
 
 # --- run_dynamics ------------------------------------------------------------------

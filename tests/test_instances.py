@@ -145,7 +145,6 @@ def test_recipe_round_trip_labels():
     recipe = InstanceRecipe("fig3", {"n": 4, "eps": Fraction(1, 100)})
     inst = build_recipe(recipe)
     assert inst.n == 4
-    assert recipe.label() == "fig3(n=4,eps=1/100)"
     assert recipe.as_document() == {"kind": "fig3", "params": {"n": "4", "eps": "1/100"}}
 
 

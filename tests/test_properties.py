@@ -11,7 +11,9 @@ from csglab.analysis import compute_ratios
 
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
+    Deviation,
     StrategyProfile,
+    _improving_move,
     agent_cost,
     best_response,
     feasible_extension,
@@ -45,6 +47,7 @@ from helpers import (
     oracle_best_response,
     oracle_extension_paths,
     oracle_feasible_profiles,
+    oracle_first_improvement,
     oracle_paths,
     oracle_potential,
 )
@@ -468,6 +471,14 @@ def test_is_nash_matches_a_per_agent_brute_force(game):
         # the lowest-index improving agent and its cheapest move
         assert verdict.witness == first
         assert (verdict.witness is None) == bool(verdict)
+        # the first strictly cheaper path in path order, with both costs
+        for agent in range(inst.n):
+            move = _improving_move(inst, profile, agent, "first_improving")
+            if move is not None:
+                path, old, new = move
+                scale = inst.scale
+                move = Deviation(agent, profile.paths[agent], path, Fraction(old, scale), Fraction(new, scale))
+            assert move == oracle_first_improvement(inst, profile, agent)
 
 
 # --- orbit analysis against is_nash on every orbit --------------------------------

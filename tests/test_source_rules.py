@@ -1,5 +1,5 @@
-"""Rules on the package source: searches stay iterative, no helper is dead and
-plain records are NamedTuples."""
+"""Rules on the package source: searches stay iterative, no helper is dead,
+plain records are NamedTuples and only game reads the scaled share tables."""
 
 import ast
 from pathlib import Path
@@ -8,9 +8,11 @@ import csglab
 
 SOURCES = sorted(Path(csglab.__file__).parent.glob("*.py"))
 # dynamics re-exports the deviation search from game, next to run_dynamics
-RE_EXPORTS = {("dynamics.py", "best_response"), ("dynamics.py", "first_improvement")}
+RE_EXPORTS = {("dynamics.py", "best_response")}
 # as tuples, Series(a, b) == Parallel(a, b) would hold
 DISTINCT_UNDER_EQ = {"EdgeLeaf", "Series", "Parallel"}
+# prices come from game._prices, so no other module needs the tables
+SCALED_TABLES = {"scaled_shares", "scaled_prefix"}
 
 
 def self_calls(tree):
@@ -251,3 +253,34 @@ def test_plain_records_are_named_tuples():
         if name not in DISTINCT_UNDER_EQ
     ]
     assert found == [], "dataclasses that should be NamedTuples: " + ", ".join(found)
+
+
+def scaled_table_reads(tree):
+    """(table, line) of every attribute read of a scaled share table."""
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SCALED_TABLES
+    ]
+
+
+def test_rule_catches_scaled_table_reads():
+    source = """
+def price(instance, e, load):
+    shares = instance.scaled_shares
+    return shares[e][load + 1] - instance.scaled_prefix[e][load]
+
+def fine(instance, profile):
+    return instance.scale, instance.capacities, profile.loads
+"""
+    assert scaled_table_reads(ast.parse(source)) == [("scaled_shares", 3), ("scaled_prefix", 4)]
+
+
+def test_only_game_reads_the_scaled_tables():
+    found = [
+        f"{path.name}:{line} {table}"
+        for path in SOURCES
+        if path.name != "game.py"
+        for table, line in scaled_table_reads(ast.parse(path.read_text()))
+    ]
+    assert found == [], "scaled tables read outside game (price through game._prices): " + ", ".join(found)
