@@ -22,7 +22,7 @@ from .game import (
     StrategyProfile,
     _loaded_profile,
     _prices,
-    _scaled_cost,
+    _scaled_costs,
     feasible_profiles,
     is_nash,
     potential,
@@ -101,8 +101,9 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
     cost in the profile head + Q and its cost after moving to Q from any
     other path. The unblocked Q from the rank of the previous agent with the
     same terminals on complete the head's orbits, and the last agent is
-    content exactly where it pays the least of these prices. Head agents on
-    the same path as the agent before them share its cost.
+    content exactly where it pays the least of these prices. The head
+    agents' costs come from ``_scaled_costs`` on the loads of head + Q, and
+    the last agent adds its price.
     """
     options = _path_options(instance, cap)
     if not options:
@@ -129,16 +130,10 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
             for e in path:
                 loads[e] = loads.get(e, 0) + 1
             profile = _loaded_profile(head.paths + (path,), loads)
-            costs = []
-            cost = shared = None
-            for agent, held in enumerate(head.paths):
-                if held is not shared:
-                    cost, shared = _scaled_cost(instance, profile, agent), held
-                costs.append(cost)
-            if None in costs:
+            costs = _scaled_costs(instance, profile, head.paths)
+            if costs is None:
                 raise InternalAssertion("an enumerated feasible profile overloads an edge")
-            costs.append(price)
-            out.append(_CostedOrbit(profile, sum(costs), max(costs), price == floor))
+            out.append(_CostedOrbit(profile, costs[0] + price, max(costs[1], price), price == floor))
     return out
 
 

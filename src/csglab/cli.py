@@ -47,7 +47,7 @@ def _write_out(text: str, out: str | None) -> None:
             handle.write(text)
 
 
-def _read_instance(path: str):
+def _read_instance(path: str, cap: int):
     if path == "-":
         doc = load_json(sys.stdin)
     else:
@@ -56,7 +56,7 @@ def _read_instance(path: str):
                 doc = load_json(handle)
         except OSError as exc:
             raise InstanceFormatError(f"cannot read {path}: {exc}")
-    return doc, instance_from_document(doc)
+    return doc, instance_from_document(doc, cap)
 
 
 # --- gen ------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    doc, instance = _read_instance(args.instance)
+    doc, instance = _read_instance(args.instance, args.cap)
     report = compute_ratios(instance, cap=args.cap)
 
     dynamics_block = None
@@ -118,7 +118,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
-    doc, instance = _read_instance(args.instance)
+    doc, instance = _read_instance(args.instance, args.cap)
     # fill the path cache under --cap, for the optima and the deviation scan alike
     for agent in range(instance.n):
         instance.agent_paths(agent, args.cap)

@@ -222,7 +222,7 @@ def low_max_cost_equilibrium(
         )
         partial = equilibrium.without(removed)
         profile_after_rebuild, arcs, path_cost = _reinsert_agent(
-            instance, max_cost_optimum, ref_loads, partial, removed
+            instance, ref_loads, partial, removed
         )
         if path_cost > target:
             raise InternalAssertion(
@@ -256,7 +256,6 @@ def low_max_cost_equilibrium(
 
 def _reinsert_agent(
     instance: GameInstance,
-    reference: StrategyProfile,
     ref_loads: dict[int, int],
     partial: StrategyProfile,
     removed: int,

@@ -337,13 +337,14 @@ def make_instance(
     agents: int | Sequence[tuple[NodeId, NodeId]],
     *,
     certify: bool = True,
+    cap: int = DEFAULT_PATH_CAP,
 ) -> GameInstance:
     """Validate schemes and terminals, certify feasibility, freeze the instance.
 
     Symmetric games (``agents`` given as a count) are certified by checking
-    that the max flow under the edge capacities is at least the number of
-    agents; asymmetric games fall back to a pruned search for one feasible
-    profile. Infeasible games are rejected outright.
+    that the max flow under the edge capacities reaches the agent count;
+    asymmetric games by a pruned search for one feasible profile over paths
+    enumerated under ``cap``. Infeasible games are rejected outright.
     """
     missing = [e.id for e in graph.edges if e.id not in schemes]
     if missing:
@@ -367,11 +368,11 @@ def make_instance(
 
     instance = GameInstance(graph, dict(schemes), terminals)
     if certify and instance.n > 0:
-        _certify_feasible(instance)
+        _certify_feasible(instance, cap)
     return instance
 
 
-def _certify_feasible(instance: GameInstance) -> None:
+def _certify_feasible(instance: GameInstance, cap: int) -> None:
     if instance.symmetric:
         flow = flows.max_flow(instance.graph, instance.capacities)
         if flow.value < instance.n:
@@ -379,13 +380,13 @@ def _certify_feasible(instance: GameInstance) -> None:
                 f"max flow {flow.value} cannot route {instance.n} agents"
             )
         return
-    if _find_feasible_assignment(instance) is None:
+    if _find_feasible_assignment(instance, cap) is None:
         raise InfeasibleGame("no feasible strategy profile exists")
 
 
-def _find_feasible_assignment(instance: GameInstance) -> StrategyProfile | None:
+def _find_feasible_assignment(instance: GameInstance, cap: int) -> StrategyProfile | None:
     """First feasible profile in path-rank order, or None (asymmetric games)."""
-    options = [instance.agent_paths(j) for j in range(instance.n)]
+    options = [instance.agent_paths(j, cap) for j in range(instance.n)]
     if not all(options):
         return None
     return next(feasible_profiles(instance, options, [None] * instance.n), None)
@@ -452,47 +453,50 @@ def _beyond_tables(instance: GameInstance, profile: StrategyProfile) -> Malforme
     )
 
 
-def _scaled_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> int | None:
-    """scale * the agent's cost, or None on any overload; MalformedProfile
-    where the cost needs a share beyond the tables."""
+def _scaled_costs(
+    instance: GameInstance, profile: StrategyProfile, paths: Iterable[EdgePath]
+) -> tuple[int, int] | None:
+    """scale * (sum, max) of what the agents holding ``paths`` pay under the
+    profile's loads; None on any overload, MalformedProfile where a share
+    lies beyond the tables. An agent on the same path object as the agent
+    before it shares its cost, so each run of one path is costed once."""
     loads = profile.loads
     caps = instance.capacities
     shares = instance.scaled_shares
-    path = profile.paths[agent]
-    total = 0
+    total = worst = cost = 0
+    previous = None
     try:
-        for edge_id in path:
-            load = loads[edge_id]
-            if load > caps[edge_id]:
-                return None
-            total += shares[edge_id][load]
+        for path in paths:
+            if path is not previous:
+                previous, cost = path, 0
+                for e in path:
+                    load = loads[e]
+                    if load > caps[e]:
+                        return None
+                    cost += shares[e][load]
+                worst = max(worst, cost)
+            total += cost
     except IndexError:
         raise _beyond_tables(instance, profile) from None
-    return total
+    return total, worst
 
 
 def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
     """Sum of shares along the agent's path, or INFINITY on any overload."""
-    cost = _scaled_cost(instance, profile, agent)
-    return INFINITY if cost is None else Fraction(cost, instance.scale)
+    costs = _scaled_costs(instance, profile, (profile.paths[agent],))
+    return INFINITY if costs is None else Fraction(costs[0], instance.scale)
 
 
 def sum_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
-    """Total of all agents' costs (0 for the empty game); INFINITY propagates."""
-    total: Cost = Fraction(0)
-    for agent in range(len(profile)):
-        total = total + agent_cost(instance, profile, agent)
-    return total
+    """Total of all agents' costs (0 for the empty game); INFINITY on any overload."""
+    costs = _scaled_costs(instance, profile, profile.paths)
+    return INFINITY if costs is None else Fraction(costs[0], instance.scale)
 
 
 def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
-    """Worst single agent cost (0 for the empty game); INFINITY propagates."""
-    worst: Cost = Fraction(0)
-    for agent in range(len(profile)):
-        cost = agent_cost(instance, profile, agent)
-        if cost > worst:
-            worst = cost
-    return worst
+    """Worst single agent cost (0 for the empty game); INFINITY on any overload."""
+    costs = _scaled_costs(instance, profile, profile.paths)
+    return INFINITY if costs is None else Fraction(costs[1], instance.scale)
 
 
 def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
@@ -556,8 +560,8 @@ def _improving_move(
 ) -> tuple[EdgePath, int, int] | None:
     """Scan the agent's paths in lexicographic order for a strict improvement.
 
-    Every path, the held one included, is priced against the other agents'
-    loads; the held path's price is the current cost, so pricing with
+    The current cost comes from ``_scaled_costs``; every path, the held one
+    included, is priced against the other agents' loads, so pricing with
     ``limit=current`` keeps exactly the strictly cheaper paths. "best" takes
     the first of the cheapest, "first_improving" the first. Returns the
     winner with the agent's current and new cost, both times ``scale``.
@@ -565,12 +569,13 @@ def _improving_move(
     if len(profile.paths) > instance.n:
         raise _beyond_tables(instance, profile)
     held = profile.paths[agent]
+    costs = _scaled_costs(instance, profile, (held,))
+    if costs is None:
+        raise InfeasibleProfile("deviation search requires a feasible profile")
+    current = costs[0]
     others = dict(profile.loads)
     for e in held:
         others[e] -= 1
-    current = next(_prices(instance, others, (held,)))
-    if current is None:
-        raise InfeasibleProfile("deviation search requires a feasible profile")
 
     best = None
     options = instance.agent_paths(agent)

@@ -25,7 +25,7 @@ from .game import (
     potential,
     sum_cost,
 )
-from .graphs import NodeId, make_graph
+from .graphs import DEFAULT_PATH_CAP, NodeId, make_graph
 from .rational import as_decimal, format_rational, parse_rational
 
 INSTANCE_VERSION = 1
@@ -73,11 +73,11 @@ def _scheme_to_json(scheme: CostSharingScheme):
     return {"table": [format_rational(s) for s in scheme.shares]}
 
 
-def instance_from_document(doc: Any) -> GameInstance:
+def instance_from_document(doc: Any, cap: int = DEFAULT_PATH_CAP) -> GameInstance:
     if not isinstance(doc, Mapping):
         raise InstanceFormatError(f"instance document must be a JSON object, got {type(doc).__name__}")
     try:
-        return _parse_instance(doc)
+        return _parse_instance(doc, cap)
     except (KeyError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed instance document: {exc}") from exc
 
@@ -103,7 +103,7 @@ def _array(value: Any, what: str) -> list:
     return value
 
 
-def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
+def _parse_instance(doc: Mapping[str, Any], cap: int) -> GameInstance:
     if doc.get("version") != INSTANCE_VERSION:
         raise InstanceFormatError(f"unsupported instance version {doc.get('version')!r}")
     if "recipe" in doc and not isinstance(doc["recipe"], Mapping):
@@ -139,7 +139,7 @@ def _parse_instance(doc: Mapping[str, Any]) -> GameInstance:
             (_node(a["source"], "agent source"), _node(a["sink"], "agent sink"))
             for a in _array(agents, "agents")
         ]
-    return make_instance(graph, schemes, agent_arg)
+    return make_instance(graph, schemes, agent_arg, cap=cap)
 
 
 # --- profiles ------------------------------------------------------------------

@@ -314,9 +314,8 @@ def criterion_5_asymmetric(count: int = 100) -> list[CheckRow]:
 # --- criterion 6: potential identities -------------------------------------------
 
 
-def criterion_6_potential_identities(
-    profile_checks: int = 1000, deviation_checks: int = 500, runs: int = 200
-) -> list[CheckRow]:
+def criterion_6_potential_identities() -> list[CheckRow]:
+    profile_checks, deviation_checks, runs = 1000, 500, 200
     rng = random.Random(9001)
     pool = [two_link(3), overhead_parallel(3, EPS_DEFAULT)]
     pool += [instance for _, instance in _seeded_pool("random-sp", 3000, 38, sizes=(2, 3, 4))]
@@ -403,7 +402,8 @@ def criterion_6_potential_identities(
 # --- criterion 7: the rebuild procedure -------------------------------------------
 
 
-def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
+def criterion_7_constructive() -> list[CheckRow]:
+    count = 50
     cases = _seeded_pool("random-sp", 4000, count)
     cases += [(f"two-link(n={n})", two_link(n)) for n in (2, 5)]
     cases += [(f"fig3(n={n},eps={EPS_DEFAULT})", overhead_parallel(n, EPS_DEFAULT)) for n in (2, 3, 4, 5)]
@@ -456,11 +456,11 @@ def criterion_7_constructive(count: int = 50) -> list[CheckRow]:
 # --- criterion 8: feasible extension vs brute force --------------------------------
 
 
-def criterion_8_extension(count: int = 100) -> list[CheckRow]:
+def criterion_8_extension() -> list[CheckRow]:
     rng = random.Random(5005)
     bad: list[str] = []
     pool = _seeded_pool(
-        "random-sp", 5000, count, families=("ordinary", "mixed"), label="{kind}(seed={seed},n={n})"
+        "random-sp", 5000, 100, families=("ordinary", "mixed"), label="{kind}(seed={seed},n={n})"
     )
     for label, instance in pool:
         big = rng.choice(enumerate_profiles(instance))
@@ -487,7 +487,7 @@ def criterion_8_extension(count: int = 100) -> list[CheckRow]:
         _row(
             "C8",
             "extension path lies in the brute-force valid set [Lem2]",
-            f"{count} random SP instances (r = k - 1)",
+            f"{len(pool)} random SP instances (r = k - 1)",
             "member",
             "; ".join(bad[:3]) if bad else "all member",
             not bad,

@@ -73,6 +73,12 @@ def oracle_agent_cost(instance: GameInstance, profile: StrategyProfile, agent: i
     return total
 
 
+def oracle_social_costs(instance: GameInstance, profile: StrategyProfile) -> tuple[Cost, Cost]:
+    """Sum and max of oracle_agent_cost over every agent, (0, 0) for none."""
+    costs = [oracle_agent_cost(instance, profile, agent) for agent in range(len(profile))]
+    return sum(costs, Fraction(0)), max(costs, default=Fraction(0))
+
+
 def oracle_best_response(
     instance: GameInstance, profile: StrategyProfile, agent: int
 ) -> Deviation | None:

@@ -144,6 +144,37 @@ def test_analyze_path_explosion_names_the_nodes(tmp_path, capsys):
     assert "simple path enumeration from node 's' to node 't' exceeded the cap of 1" in err
 
 
+def test_cap_reaches_the_certification_of_asymmetric_games(tmp_path, capsys):
+    # agent 0 crosses 14 parallel pairs (2^14 = 16,384 paths, over the default
+    # cap); agent 1 takes the tail edge. Loading the file certifies the game
+    # by enumerating agent 0's paths, so it must already honour --cap.
+    edges = [
+        {"id": 2 * k + i, "tail": k, "head": k + 1, "cost": str(i + 1), "capacity": 2}
+        for k in range(14)
+        for i in (0, 1)
+    ]
+    edges.append({"id": 28, "tail": 14, "head": 15, "cost": "1", "capacity": 2})
+    doc = {
+        "version": 1,
+        "nodes": list(range(16)),
+        "edges": edges,
+        "source": 0,
+        "sink": 15,
+        "agents": [{"source": 0, "sink": 14}, {"source": 14, "sink": 15}],
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--cap", "20000", "--no-dynamics")
+    assert code == 0
+    assert json.loads(out)["equilibria"]["count_ordered"] == 1
+    code, _, _ = run_cli(capsys, "dynamics", str(path), "--cap", "20000")
+    assert code == 0
+    for command in ("analyze", "dynamics"):
+        code, _, err = run_cli(capsys, command, str(path), "--cap", "100")
+        assert code == 3
+        assert "simple path enumeration from node 0 to node 14 exceeded the cap of 100" in err
+
+
 def _report_with_violated_mc_bound():
     report = compute_ratios(two_link(3))
     violated = BoundCheck(

@@ -237,7 +237,7 @@ def test_reinsert_forward_only_path():
     reference = inst.profile(((0,), (0,), (0,)))
     partial = StrategyProfile(((0,), (0,)))
     rebuilt, arcs, path_cost = _reinsert_agent(
-        inst, reference, reference.loads, partial, removed=1
+        inst, reference.loads, partial, removed=1
     )
     assert all(arc.forward for arc in arcs)
     assert rebuilt.paths == ((0,), (0,), (0,))
@@ -251,7 +251,7 @@ def test_reinsert_backward_arc_reroutes_by_decomposition():
     reference = inst.profile(((0, 3), (1, 4)))
     partial = StrategyProfile(((0, 2, 4),))
     rebuilt, arcs, path_cost = _reinsert_agent(
-        inst, reference, reference.loads, partial, removed=0
+        inst, reference.loads, partial, removed=0
     )
     assert ResidualArc(2, False) in arcs
     assert rebuilt.paths == ((0, 3), (1, 4))

@@ -50,6 +50,7 @@ from helpers import (
     oracle_first_improvement,
     oracle_paths,
     oracle_potential,
+    oracle_social_costs,
 )
 
 
@@ -383,6 +384,11 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
             cost = agent_cost(inst, profile, agent)
             assert cost == oracle_agent_cost(inst, profile, agent)
             assert cost is INFINITY or type(cost) is Fraction
+        # sampled paths repeat one object; copies are equal but distinct tuples
+        copied = StrategyProfile(tuple(tuple(list(path)) for path in paths_chosen))
+        expected_costs = oracle_social_costs(inst, profile)
+        for social in (profile, copied):
+            assert (sum_cost(inst, social), max_cost(inst, social)) == expected_costs
         if not is_feasible(inst, profile):
             continue
         assert potential(inst, profile) == oracle_potential(inst, profile)
@@ -539,7 +545,7 @@ def test_orbit_analysis_matches_is_nash_on_every_orbit(inst):
         first, size = orbits.get(key, (profile, 0))
         orbits[key] = (first, size + 1)
     expected = [
-        (p, size, sum_cost(inst, p), max_cost(inst, p), potential(inst, p))
+        (p, size, *oracle_social_costs(inst, p), potential(inst, p))
         for p, size in orbits.values()
         if is_nash(inst, p)
     ]
@@ -548,6 +554,7 @@ def test_orbit_analysis_matches_is_nash_on_every_orbit(inst):
     got = [(e.profile, e.multiplicity, e.sum_cost, e.max_cost, e.potential) for e in report.equilibria.entries]
     assert got == expected
     assert report.equilibria.total_count == sum(size for _, size, *_ in expected)
-    for optimum, cost in ((report.opt_sc, sum_cost), (report.opt_mc, max_cost)):
-        best = min(profiles, key=lambda p: cost(inst, p))  # min keeps the first of equals
-        assert optimum == (best, cost(inst, best))
+    for optimum, which in ((report.opt_sc, 0), (report.opt_mc, 1)):
+        # min keeps the first of equals
+        best = min(profiles, key=lambda p: oracle_social_costs(inst, p)[which])
+        assert optimum == (best, oracle_social_costs(inst, best)[which])

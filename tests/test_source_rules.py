@@ -1,5 +1,6 @@
-"""Rules on the package source: searches stay iterative, no helper is dead,
-plain records are NamedTuples and only game reads the scaled share tables."""
+"""Rules on the package source: searches stay iterative, no helper or
+parameter is dead, plain records are NamedTuples and only game reads the
+scaled share tables."""
 
 import ast
 from pathlib import Path
@@ -284,3 +285,65 @@ def test_only_game_reads_the_scaled_tables():
         for table, line in scaled_table_reads(ast.parse(path.read_text()))
     ]
     assert found == [], "scaled tables read outside game (price through game._prices): " + ", ".join(found)
+
+
+def unread_parameters(tree):
+    """(function name, parameter) of every parameter its function never reads.
+
+    A read is a load of the bare name anywhere in the body, nested functions
+    included; ``self`` and ``cls`` are skipped.
+    """
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = function.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+        body = function.body if isinstance(function.body, list) else [function.body]
+        read = {
+            node.id
+            for statement in body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for param in params:
+            if param is not None and param.arg not in ("self", "cls") and param.arg not in read:
+                yield getattr(function, "name", "<lambda>"), param.arg
+
+
+def test_rule_catches_unread_parameters():
+    source = """
+def route(instance, reference, loads, *, cap=10, **options):
+    loads = dict(loads)
+    return instance, loads
+
+def outer(items, key):
+    def inner():
+        return sorted(items, key=key)
+    return inner
+
+class Pool:
+    def size(self, extra, *rest):
+        return len(rest)
+
+    @classmethod
+    def build(cls):
+        return cls()
+
+pick = lambda value, default: value
+"""
+    assert list(unread_parameters(ast.parse(source))) == [
+        ("route", "reference"),
+        ("route", "cap"),
+        ("route", "options"),
+        ("size", "extra"),
+        ("<lambda>", "default"),
+    ]
+
+
+def test_every_parameter_is_read():
+    found = [
+        f"{path.name} {function} {param}"
+        for path in SOURCES
+        for function, param in unread_parameters(ast.parse(path.read_text()))
+    ]
+    assert found == [], "parameters their function never reads: " + ", ".join(found)
