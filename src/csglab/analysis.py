@@ -39,11 +39,11 @@ class Criterion(Enum):
 def _path_options(instance: GameInstance, cap: int) -> list[tuple[EdgePath, ...]]:
     """Each agent's paths, in rank order.
 
-    Guards both the per-agent path counts and the product of the counts with
-    ``cap``; beyond that the instance is declared too large for exhaustive
-    work.
+    The instance's own cap bounds each agent's path count, and ``cap`` the
+    product of the counts; beyond either the instance is declared too large
+    for exhaustive work.
     """
-    options = [instance.agent_paths(j, cap) for j in range(instance.n)]
+    options = [instance.agent_paths(j) for j in range(instance.n)]
     counts = [len(paths) for paths in options]
     combinations = prod(counts, start=1)
     if combinations > cap:

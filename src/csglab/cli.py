@@ -119,9 +119,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
     doc, instance = _read_instance(args.instance, args.cap)
-    # fill the path cache under --cap, for the optima and the deviation scan alike
-    for agent in range(instance.n):
-        instance.agent_paths(agent, args.cap)
     if args.start == "opt-sc":
         start = optimal_profile(instance, Criterion.SUM, cap=args.cap)[0]
     elif args.start == "opt-mc":

@@ -170,14 +170,11 @@ class RebuildRound(NamedTuple):
 class ConstructiveResult(NamedTuple):
     equilibrium: StrategyProfile
     rounds: tuple[RebuildRound, ...]
-    traces: tuple[DynamicsTrace, ...]
 
 
 def low_max_cost_equilibrium(
     instance: GameInstance,
     max_cost_optimum: StrategyProfile,
-    policy: DeviationPolicy = DEFAULT_POLICY,
-    step_cap: int = DEFAULT_STEP_CAP,
 ) -> ConstructiveResult:
     """Equilibrium whose max-cost is at most n times the optimal max-cost.
 
@@ -202,9 +199,7 @@ def low_max_cost_equilibrium(
     target = sum_cost(instance, max_cost_optimum)
     ref_loads = max_cost_optimum.loads
 
-    trace = run_dynamics(instance, max_cost_optimum, policy, step_cap)
-    traces = [trace]
-    equilibrium = trace.terminal
+    equilibrium = run_dynamics(instance, max_cost_optimum).terminal
     rounds: list[RebuildRound] = []
 
     while True:
@@ -232,9 +227,7 @@ def low_max_cost_equilibrium(
         if not rebuilt_potential < ne_potential:
             raise InternalAssertion("rebuild did not lower the potential")
 
-        trace = run_dynamics(instance, profile_after_rebuild, policy, step_cap)
-        traces.append(trace)
-        equilibrium = trace.terminal
+        equilibrium = run_dynamics(instance, profile_after_rebuild).terminal
         settled_potential = potential(instance, equilibrium)
         rounds.append(
             RebuildRound(
@@ -251,7 +244,7 @@ def low_max_cost_equilibrium(
             if not rounds[-1].equilibrium_potential < rounds[-2].equilibrium_potential:
                 raise InternalAssertion("round potentials must strictly decrease")
 
-    return ConstructiveResult(equilibrium, tuple(rounds), tuple(traces))
+    return ConstructiveResult(equilibrium, tuple(rounds))
 
 
 def _reinsert_agent(

@@ -233,7 +233,8 @@ class NashResult:
 
 @dataclass(frozen=True, eq=False)
 class GameInstance:
-    """A feasible game: graph, one scheme per edge, one terminal pair per agent.
+    """A feasible game: graph, one scheme per edge, one terminal pair per
+    agent, and the cap on every terminal pair's path count.
 
     Instances are immutable; the private cache only memoizes pure path
     enumerations, so sharing an instance across threads is safe.
@@ -242,6 +243,7 @@ class GameInstance:
     graph: Graph
     schemes: Mapping[int, CostSharingScheme]
     terminals: tuple[tuple[NodeId, NodeId], ...]
+    cap: int  # bounds every enumeration of a terminal pair's paths
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -277,21 +279,16 @@ class GameInstance:
         """scaled_prefix[e][x] = scale * (sum of edge e's shares at loads 1..x)."""
         return {eid: tuple(accumulate(shares)) for eid, shares in self.scaled_shares.items()}
 
-    def st_paths(self, source: NodeId, sink: NodeId, cap: int = DEFAULT_PATH_CAP) -> tuple[EdgePath, ...]:
-        """Memoized simple-path enumeration between two nodes.
-
-        A cached list is complete, so every later call reuses it whatever its
-        cap; ``cap`` only bounds the work of the first enumeration.
-        """
+    def st_paths(self, source: NodeId, sink: NodeId) -> tuple[EdgePath, ...]:
+        """Memoized simple-path enumeration between two nodes, under ``cap``."""
         hit = self._cache.get((source, sink))
         if hit is None:
-            hit = tuple(enumerate_st_paths(self.graph, source, sink, cap=cap))
+            hit = tuple(enumerate_st_paths(self.graph, source, sink, cap=self.cap))
             self._cache[source, sink] = hit
         return hit
 
-    def agent_paths(self, agent: int, cap: int = DEFAULT_PATH_CAP) -> tuple[EdgePath, ...]:
-        source, sink = self.terminals[agent]
-        return self.st_paths(source, sink, cap)
+    def agent_paths(self, agent: int) -> tuple[EdgePath, ...]:
+        return self.st_paths(*self.terminals[agent])
 
     def profile(self, paths: Sequence[Sequence[int]]) -> StrategyProfile:
         """Validate one path per agent and freeze the profile."""
@@ -341,10 +338,12 @@ def make_instance(
 ) -> GameInstance:
     """Validate schemes and terminals, certify feasibility, freeze the instance.
 
-    Symmetric games (``agents`` given as a count) are certified by checking
-    that the max flow under the edge capacities reaches the agent count;
-    asymmetric games by a pruned search for one feasible profile over paths
-    enumerated under ``cap``. Infeasible games are rejected outright.
+    ``cap`` bounds every enumeration of an agent's paths, for the life of
+    the instance. Symmetric games (a count, or terminals that are all the
+    graph's source and sink) are certified before any per-agent state is
+    built: the max flow under the edge capacities must reach the agent
+    count. Asymmetric games are certified by a pruned search for one
+    feasible profile. Infeasible games are rejected outright.
     """
     missing = [e.id for e in graph.edges if e.id not in schemes]
     if missing:
@@ -353,11 +352,8 @@ def make_instance(
     if problems:
         raise SchemeViolation(problems)
 
-    if isinstance(agents, int):
-        if agents < 0:
-            raise ParameterViolation("agent count must be >= 0")
-        terminals = tuple((graph.source, graph.sink) for _ in range(agents))
-    else:
+    hub = (graph.source, graph.sink)
+    if not isinstance(agents, int):
         terminals = tuple((src, dst) for src, dst in agents)
         node_set = set(graph.nodes)
         for j, (src, dst) in enumerate(terminals):
@@ -365,28 +361,24 @@ def make_instance(
                 raise ParameterViolation(f"agent {j} terminals not in graph")
             if src == dst:
                 raise ParameterViolation(f"agent {j} has identical source and sink")
-
-    instance = GameInstance(graph, dict(schemes), terminals)
-    if certify and instance.n > 0:
-        _certify_feasible(instance, cap)
-    return instance
-
-
-def _certify_feasible(instance: GameInstance, cap: int) -> None:
-    if instance.symmetric:
-        flow = flows.max_flow(instance.graph, instance.capacities)
-        if flow.value < instance.n:
-            raise InfeasibleGame(
-                f"max flow {flow.value} cannot route {instance.n} agents"
-            )
-        return
-    if _find_feasible_assignment(instance, cap) is None:
-        raise InfeasibleGame("no feasible strategy profile exists")
+        if any(pair != hub for pair in terminals):
+            instance = GameInstance(graph, dict(schemes), terminals, cap)
+            if certify and _find_feasible_assignment(instance) is None:
+                raise InfeasibleGame("no feasible strategy profile exists")
+            return instance
+        agents = len(terminals)
+    if agents < 0:
+        raise ParameterViolation("agent count must be >= 0")
+    if certify and agents > 0:
+        flow = flows.max_flow(graph, {e.id: schemes[e.id].capacity for e in graph.edges})
+        if flow.value < agents:
+            raise InfeasibleGame(f"max flow {flow.value} cannot route {agents} agents")
+    return GameInstance(graph, dict(schemes), (hub,) * agents, cap)
 
 
-def _find_feasible_assignment(instance: GameInstance, cap: int) -> StrategyProfile | None:
+def _find_feasible_assignment(instance: GameInstance) -> StrategyProfile | None:
     """First feasible profile in path-rank order, or None (asymmetric games)."""
-    options = [instance.agent_paths(j, cap) for j in range(instance.n)]
+    options = [instance.agent_paths(j) for j in range(instance.n)]
     if not all(options):
         return None
     return next(feasible_profiles(instance, options, [None] * instance.n), None)
@@ -457,27 +449,26 @@ def _scaled_costs(
     instance: GameInstance, profile: StrategyProfile, paths: Iterable[EdgePath]
 ) -> tuple[int, int] | None:
     """scale * (sum, max) of what the agents holding ``paths`` pay under the
-    profile's loads; None on any overload, MalformedProfile where a share
-    lies beyond the tables. An agent on the same path object as the agent
-    before it shares its cost, so each run of one path is costed once."""
+    profile's loads; None on any overload. An agent on the same path object
+    as the agent before it shares its cost, so each run of one path is
+    costed once."""
+    if len(profile.paths) > len(instance.terminals):
+        raise _beyond_tables(instance, profile)
     loads = profile.loads
     caps = instance.capacities
     shares = instance.scaled_shares
     total = worst = cost = 0
     previous = None
-    try:
-        for path in paths:
-            if path is not previous:
-                previous, cost = path, 0
-                for e in path:
-                    load = loads[e]
-                    if load > caps[e]:
-                        return None
-                    cost += shares[e][load]
-                worst = max(worst, cost)
-            total += cost
-    except IndexError:
-        raise _beyond_tables(instance, profile) from None
+    for path in paths:
+        if path is not previous:
+            previous, cost = path, 0
+            for e in path:
+                load = loads[e]
+                if load > caps[e]:
+                    return None
+                cost += shares[e][load]
+            worst = max(worst, cost)
+        total += cost
     return total, worst
 
 
@@ -501,16 +492,15 @@ def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
 
 def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
     """scale * the potential; InfeasibleProfile on any overload."""
+    if len(profile.paths) > len(instance.terminals):
+        raise _beyond_tables(instance, profile)
     caps = instance.capacities
     prefix = instance.scaled_prefix
     total = 0
-    try:
-        for edge_id, load in profile.loads.items():
-            if load > caps[edge_id]:
-                raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
-            total += prefix[edge_id][load]
-    except IndexError:
-        raise _beyond_tables(instance, profile) from None
+    for edge_id, load in profile.loads.items():
+        if load > caps[edge_id]:
+            raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
+        total += prefix[edge_id][load]
     return total
 
 
@@ -566,8 +556,6 @@ def _improving_move(
     the first of the cheapest, "first_improving" the first. Returns the
     winner with the agent's current and new cost, both times ``scale``.
     """
-    if len(profile.paths) > instance.n:
-        raise _beyond_tables(instance, profile)
     held = profile.paths[agent]
     costs = _scaled_costs(instance, profile, (held,))
     if costs is None:
@@ -613,10 +601,10 @@ def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
     at its first strict improvement. The result names the lowest-index agent
     that can improve; its witness is computed when read.
     """
-    if not is_feasible(instance, profile):
-        raise InfeasibleProfile("equilibrium test requires a feasible profile")
     if len(profile.paths) > instance.n:
         raise _beyond_tables(instance, profile)  # zip below would drop the extra paths
+    if not is_feasible(instance, profile):
+        raise InfeasibleProfile("equilibrium test requires a feasible profile")
     scanned = set()
     for agent, key in enumerate(zip(instance.terminals, profile.paths)):
         if key in scanned:

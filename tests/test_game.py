@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from csglab.errors import (
     MalformedProfile,
     NotSeriesParallel,
     ParameterViolation,
+    PathExplosion,
 )
 from csglab.game import (
     agent_cost,
@@ -35,6 +37,15 @@ EPS = Fraction(1, 100)
 def single_edge_instance(cost=5, capacity=1, agents=1):
     graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
     return make_instance(graph, {0: make_ordinary_scheme(cost, capacity)}, agents)
+
+
+def crowded_unit_links():
+    """Two agents on two capacity-1 links, both on link 0: one path per
+    agent, and link 0 overloaded."""
+    graph = make_graph(["s", "t"], [(0, "s", "t"), (1, "s", "t")], "s", "t")
+    schemes = {0: make_ordinary_scheme(5, 1), 1: make_ordinary_scheme(5, 1)}
+    inst = make_instance(graph, schemes, 2)
+    return inst, inst.profile(((0,), (0,)))
 
 
 # --- profiles -----------------------------------------------------------------
@@ -109,11 +120,7 @@ def test_agent_cost_single_agent_pays_base_cost():
 
 
 def test_agent_cost_overload_is_infinite():
-    inst = single_edge_instance(cost=5, capacity=1, agents=1)
-    # build a 2-path profile by hand to overload the capacity-1 edge
-    from csglab.game import StrategyProfile
-
-    crowded = StrategyProfile(((0,), (0,)))
+    inst, crowded = crowded_unit_links()
     assert agent_cost(inst, crowded, 0) is INFINITY
     assert sum_cost(inst, crowded) is INFINITY
     assert max_cost(inst, crowded) is INFINITY
@@ -153,11 +160,9 @@ def test_potential_two_sharers_partial_sum():
 
 
 def test_potential_rejects_infeasible():
-    inst = single_edge_instance()
-    from csglab.game import StrategyProfile
-
+    inst, crowded = crowded_unit_links()
     with pytest.raises(InfeasibleProfile):
-        potential(inst, StrategyProfile(((0,), (0,))))
+        potential(inst, crowded)
 
 
 def test_potential_matches_oracle_on_random_instances():
@@ -223,11 +228,9 @@ def test_is_nash_agrees_with_oracle():
 
 
 def test_is_nash_requires_feasible_profile():
-    inst = single_edge_instance()
-    from csglab.game import StrategyProfile
-
+    inst, crowded = crowded_unit_links()
     with pytest.raises(InfeasibleProfile):
-        is_nash(inst, StrategyProfile(((0,), (0,))))
+        is_nash(inst, crowded)
 
 
 def count_scans(monkeypatch) -> list[str]:
@@ -322,19 +325,30 @@ def test_extension_fresh_path_case():
 
 def test_costs_reject_a_profile_with_more_paths_than_agents():
     # capacity 3 admits load 2, but with one agent the tables stop at load 1
-    inst = single_edge_instance(cost=6, capacity=3, agents=1)
-    crowded = inst.partial_profile(((0,), (0,)))
-    message = "profile has 2 paths but the instance has 1 agents"
-    for evaluate in (
-        lambda: agent_cost(inst, crowded, 0),
-        lambda: sum_cost(inst, crowded),
-        lambda: max_cost(inst, crowded),
-        lambda: potential(inst, crowded),
-        lambda: best_response(inst, crowded, 0),
-        lambda: is_nash(inst, crowded),
-    ):
-        with pytest.raises(MalformedProfile, match=message):
-            evaluate()
+    one_edge = single_edge_instance(cost=6, capacity=3, agents=1)
+    # link 0 (capacity 1) is overloaded as well, in either path order
+    graph = make_graph(["s", "t"], [(0, "s", "t"), (1, "s", "t")], "s", "t")
+    two_links = make_instance(graph, {0: make_ordinary_scheme(6, 1), 1: make_ordinary_scheme(6, 3)}, 1)
+    cases = [
+        (one_edge, ((0,), (0,))),
+        (two_links, ((0,), (0,), (1,), (1,))),
+        (two_links, ((1,), (1,), (0,), (0,))),
+    ]
+    for inst, paths in cases:
+        crowded = inst.partial_profile(paths)
+        last = len(paths) - 1
+        message = f"profile has {len(paths)} paths but the instance has 1 agents"
+        for evaluate in (
+            lambda: agent_cost(inst, crowded, 0),
+            lambda: agent_cost(inst, crowded, last),
+            lambda: sum_cost(inst, crowded),
+            lambda: max_cost(inst, crowded),
+            lambda: potential(inst, crowded),
+            lambda: best_response(inst, crowded, 0),
+            lambda: is_nash(inst, crowded),
+        ):
+            with pytest.raises(MalformedProfile, match=message):
+                evaluate()
 
 
 def test_is_nash_rejects_paths_on_an_agentless_instance():
@@ -347,3 +361,49 @@ def test_feasibility_of_a_profile_with_more_paths_than_agents():
     inst = single_edge_instance(cost=6, capacity=3, agents=1)
     assert is_feasible(inst, inst.partial_profile(((0,),) * 3))
     assert not is_feasible(inst, inst.partial_profile(((0,),) * 4))
+
+
+# --- the instance owns its path cap ----------------------------------------------
+
+
+def chain_of_pairs(stages, cap):
+    """One agent across ``stages`` parallel pairs (costs 1 and 2, capacity 1):
+    2**stages paths, built under ``cap``."""
+    edges = [(2 * i + k, i, i + 1) for i in range(stages) for k in (0, 1)]
+    graph = make_graph(list(range(stages + 1)), edges, 0, stages)
+    schemes = {eid: make_ordinary_scheme(eid % 2 + 1, 1) for eid, _, _ in edges}
+    return make_instance(graph, schemes, 1, cap=cap)
+
+
+def test_every_enumeration_of_an_agents_paths_uses_the_instance_cap():
+    from csglab.analysis import compute_ratios
+    from csglab.dynamics import run_dynamics
+
+    stages = 14  # 16,384 paths, over the default cap of 10,000
+    inst = chain_of_pairs(stages, cap=20000)
+    cheap = tuple(range(0, 2 * stages, 2))
+    dear = inst.profile((tuple(range(1, 2 * stages, 2)),))
+    assert is_nash(inst, dear).agent == 0
+    assert best_response(inst, dear, 0).new_path == cheap
+    trace = run_dynamics(inst, dear)
+    assert trace.step_count == 1 and trace.terminal.paths == (cheap,)
+    report = compute_ratios(inst, cap=20000)
+    assert report.opt_sc[0].paths == (cheap,)
+    assert len(inst.agent_paths(0)) == 2**stages
+
+    small = chain_of_pairs(stages, cap=100)
+    with pytest.raises(PathExplosion, match="exceeded the cap of 100$"):
+        small.agent_paths(0)
+
+
+def test_an_infeasible_agent_count_builds_no_per_agent_state():
+    graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
+    schemes = {0: make_ordinary_scheme(1, 1)}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleGame, match="max flow 1 cannot route 1000000 agents"):
+            make_instance(graph, schemes, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -154,3 +154,60 @@ def test_node_ids_are_strings_or_integers(tmp_path, capsys, where, bad):
     code, err = analyze(tmp_path, capsys, doc)
     assert code == 2
     assert f"must be a JSON string or integer, got {bad!r}" in err
+
+
+def edit_edge(**fields):
+    def edit(doc):
+        doc["edges"][0].update(fields)
+
+    return edit
+
+
+def unreachable_agent(doc):
+    doc["agents"] = [{"source": "t", "sink": "s"}]
+
+
+def back_edge(doc):
+    doc["edges"].append({"id": 2, "tail": "t", "head": "s", "cost": "1", "capacity": 1})
+
+
+@pytest.mark.parametrize(
+    "edit, argv, start, message",
+    [
+        pytest.param(
+            edit_edge(scheme={"table": ["1"]}), ["analyze"], None,
+            "table has 1 entries for capacity 2", id="short-table",
+        ),
+        pytest.param(
+            edit_edge(cost="-2", scheme={"table": ["-2", "-2"]}), ["analyze"], None,
+            "base cost -2 is negative", id="negative-table-cost",
+        ),
+        pytest.param(
+            edit_edge(cost="-2"), ["analyze"], None,
+            "base cost must be >= 0", id="negative-ordinary-cost",
+        ),
+        pytest.param(
+            unreachable_agent, ["analyze"], None,
+            "no feasible strategy profile exists", id="unreachable-sink",
+        ),
+        pytest.param(None, ["analyze", "--cap", "0"], None, "cap must be >= 1", id="zero-cap"),
+        pytest.param(None, ["dynamics"], [[], [0]], "empty path", id="empty-start-path"),
+        pytest.param(
+            back_edge, ["dynamics"], [[0, 2, 0], [0]], "path revisits node 's'", id="start-path-revisits",
+        ),
+    ],
+)
+def test_contract_exits(tmp_path, capsys, edit, argv, start, message):
+    doc = two_link_document()
+    if edit is not None:
+        edit(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    command, *options = argv
+    if start is not None:
+        profile = tmp_path / "start.json"
+        profile.write_text(json.dumps(start))
+        options += ["--start", str(profile)]
+    code = main([command, str(path), *options])
+    assert code == 2
+    assert message in capsys.readouterr().err

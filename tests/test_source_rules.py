@@ -1,6 +1,6 @@
 """Rules on the package source: searches stay iterative, no helper or
-parameter is dead, plain records are NamedTuples and only game reads the
-scaled share tables."""
+parameter is dead, plain records are NamedTuples, only game reads the
+scaled share tables and no IndexError is caught."""
 
 import ast
 from pathlib import Path
@@ -347,3 +347,52 @@ def test_every_parameter_is_read():
         for function, param in unread_parameters(ast.parse(path.read_text()))
     ]
     assert found == [], "parameters their function never reads: " + ", ".join(found)
+
+
+def index_error_handlers(tree):
+    """Line of every ``except`` clause that catches IndexError, alone or in a tuple.
+
+    Table bounds are decided by explicit length checks, so an IndexError is a
+    bug and must surface.
+    """
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if "IndexError" in map(bare_name, caught):
+                yield node.lineno
+
+
+def test_rule_catches_index_error_handlers():
+    source = """
+import builtins
+
+def share(table, load):
+    try:
+        return table[load]
+    except IndexError:
+        return None
+
+def either(table, key):
+    try:
+        return table[key]
+    except (KeyError, builtins.IndexError):
+        return None
+
+def fine(table, key):
+    try:
+        return table[key]
+    except KeyError:
+        return None
+    except Exception:
+        raise
+"""
+    assert list(index_error_handlers(ast.parse(source))) == [7, 13]
+
+
+def test_no_index_error_is_caught():
+    found = [
+        f"{path.name}:{line}"
+        for path in SOURCES
+        for line in index_error_handlers(ast.parse(path.read_text()))
+    ]
+    assert found == [], "IndexError handlers (check the length instead): " + ", ".join(found)
