@@ -14,19 +14,10 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, prod
 from operator import attrgetter
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
-from .game import (
-    GameInstance,
-    StrategyProfile,
-    _loaded_profile,
-    _prices,
-    _scaled_costs,
-    feasible_profiles,
-    is_nash,
-    potential,
-)
+from .game import GameInstance, StrategyProfile, _prices, _scaled_costs, feasible_profiles, potential
 from .graphs import DEFAULT_PATH_CAP, EdgePath, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
@@ -47,9 +38,17 @@ def _path_options(instance: GameInstance, cap: int) -> list[tuple[EdgePath, ...]
     counts = [len(paths) for paths in options]
     combinations = prod(counts, start=1)
     if combinations > cap:
-        product = "×".join(map(str, counts)) or "1"
-        raise PathExplosion(f"ordered profile product {product}", cap, combinations)
+        raise PathExplosion(f"ordered profile product {_factors(counts)}", cap, combinations)
     return options
+
+
+def _factors(counts: list[int]) -> str:
+    """The path counts as a product: written out for up to eight agents,
+    else as powers of the distinct counts, largest first, at most four."""
+    if len(counts) <= 8:
+        return "×".join(map(str, counts)) or "1"
+    powers = [f"{c}^{k}" if k > 1 else str(c) for c, k in sorted(Counter(counts).items(), reverse=True)]
+    return "×".join(powers[:4]) + ("×…" if len(powers) > 4 else "")
 
 
 def enumerate_profiles(
@@ -60,12 +59,12 @@ def enumerate_profiles(
     return list(feasible_profiles(instance, options, [None] * instance.n))
 
 
-def _orbit_size(instance: GameInstance, profile: StrategyProfile) -> int:
+def _orbit_size(instance: GameInstance, paths: tuple[EdgePath, ...]) -> int:
     """The multinomial coefficient: the product of the terminal class sizes'
     factorials over the product of the factorials of how often each
     (terminal pair, path) repeats."""
     arrangements = prod(factorial(size) for size in Counter(instance.terminals).values())
-    repeats = Counter(zip(instance.terminals, profile.paths)).values()
+    repeats = Counter(zip(instance.terminals, paths)).values()
     return arrangements // prod(factorial(k) for k in repeats)
 
 
@@ -80,19 +79,43 @@ def enumerate_orbits(
     out in the order of those members. ``cap`` still bounds the ordered
     profile product.
     """
-    return [(o.profile, _orbit_size(instance, o.profile)) for o in _costed_orbits(instance, cap)]
+    return [(o.profile, _orbit_size(instance, o.paths)) for o in _costed_orbits(instance, cap)]
 
 
 class _CostedOrbit(NamedTuple):
-    profile: StrategyProfile
+    paths: tuple[EdgePath, ...]  # the orbit's first ordered member
     sum_cost: int  # times instance.scale, as is max_cost
     max_cost: int
-    content: bool  # the last agent has no strictly cheaper path
+    nash: bool  # no agent has a strictly cheaper path
+
+    @property
+    def profile(self) -> StrategyProfile:
+        return StrategyProfile(self.paths)
+
+
+def _cheapest_paths(
+    instance: GameInstance,
+    options: tuple[EdgePath, ...],
+    loads: Mapping[int, int],
+    plus: EdgePath,
+    minus: EdgePath,
+) -> frozenset[EdgePath]:
+    """The paths in ``options`` that one agent prices cheapest when the
+    other agents load ``loads`` with one more on ``plus`` and one fewer on
+    ``minus``."""
+    others = dict(loads)
+    for e in plus:
+        others[e] = others.get(e, 0) + 1
+    for e in minus:
+        others[e] -= 1
+    prices = list(_prices(instance, others, options))
+    floor = min(price for price in prices if price is not None)
+    return frozenset(path for path, price in zip(options, prices) if price == floor)
 
 
 def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
-    """Every orbit's representative with both social costs, and whether its
-    last agent is content.
+    """Every orbit's representative with both social costs, and whether it
+    is a Nash equilibrium.
 
     Social costs, Nash membership and potentials are the same for every
     member of an orbit, so the representatives stand for the whole orbit.
@@ -100,14 +123,23 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
     each of the last agent's paths Q against the head's loads, which is its
     cost in the profile head + Q and its cost after moving to Q from any
     other path. The unblocked Q from the rank of the previous agent with the
-    same terminals on complete the head's orbits, and the last agent is
-    content exactly where it pays the least of these prices. The head
-    agents' costs come from ``_scaled_costs`` on the loads of head + Q, and
-    the last agent adds its price.
+    same terminals on complete the head's orbits. The head agents' costs
+    come from ``_scaled_costs`` on the head's loads plus Q, and the last
+    agent adds its price.
+
+    An agent is content exactly where its path is among the cheapest of its
+    options, each priced against the other agents' loads, and an orbit is an
+    equilibrium exactly where every agent is content. The last agent is
+    content where it pays the least of its prices. A head agent's cheapest
+    paths depend only on the other agents' paths in position order, which
+    also fix its terminal pair, so they are memoized under the head without
+    the agent and Q's rank, and priced once, on first use. An agent on the
+    same path object as the agent before it has the same other agents, so
+    it is content exactly where that agent is.
     """
     options = _path_options(instance, cap)
     if not options:
-        return [_CostedOrbit(StrategyProfile(()), 0, 0, True)]
+        return [_CostedOrbit((), 0, 0, True)]
     previous: list[int | None] = []
     seen: dict = {}
     for j, pair in enumerate(instance.terminals):
@@ -115,25 +147,35 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
         seen[pair] = j
     *head_options, last_options = options
     anchor = previous.pop()
+    cheapest: dict = {}  # (head without agent j, rank of Q) -> j's cheapest paths
     out = []
     for head in feasible_profiles(instance, head_options, previous):
-        head_loads = head.loads
-        prices = list(_prices(instance, head_loads, last_options))
+        paths = head.paths
+        loads = head.loads
+        prices = list(_prices(instance, loads, last_options))
         floor = min((p for p in prices if p is not None), default=None)
-        start = 0 if anchor is None else last_options.index(head.paths[anchor])
+        start = 0 if anchor is None else last_options.index(paths[anchor])
         for rank in range(start, len(last_options)):
             price = prices[rank]
             if price is None:
                 continue
-            path = last_options[rank]
-            loads = dict(head_loads)
-            for e in path:
-                loads[e] = loads.get(e, 0) + 1
-            profile = _loaded_profile(head.paths + (path,), loads)
-            costs = _scaled_costs(instance, profile, head.paths)
+            last = last_options[rank]
+            costs = _scaled_costs(instance, head, paths, last)
             if costs is None:
                 raise InternalAssertion("an enumerated feasible profile overloads an edge")
-            out.append(_CostedOrbit(profile, costs[0] + price, max(costs[1], price), price == floor))
+            nash = price == floor
+            if nash:
+                for j, held in enumerate(paths):
+                    if j and held is paths[j - 1]:
+                        continue
+                    key = (paths[:j] + paths[j + 1 :], rank)
+                    floor_paths = cheapest.get(key)
+                    if floor_paths is None:
+                        floor_paths = cheapest[key] = _cheapest_paths(instance, head_options[j], loads, last, held)
+                    if held not in floor_paths:
+                        nash = False
+                        break
+            out.append(_CostedOrbit(paths + (last,), costs[0] + price, max(costs[1], price), nash))
     return out
 
 
@@ -186,20 +228,22 @@ class EquilibriumSet(NamedTuple):
 
 def _equilibria(instance: GameInstance, orbits: list[_CostedOrbit]) -> EquilibriumSet:
     scale = instance.scale
-    entries = tuple(
-        EquilibriumSummary(
-            profile=orbit.profile,
-            multiplicity=_orbit_size(instance, orbit.profile),
-            sum_cost=Fraction(orbit.sum_cost, scale),
-            max_cost=Fraction(orbit.max_cost, scale),
-            potential=potential(instance, orbit.profile),
-        )
-        for orbit in orbits
-        if orbit.content and is_nash(instance, orbit.profile)
-    )
+    entries = []
+    for orbit in orbits:
+        if orbit.nash:
+            profile = orbit.profile
+            entries.append(
+                EquilibriumSummary(
+                    profile=profile,
+                    multiplicity=_orbit_size(instance, orbit.paths),
+                    sum_cost=Fraction(orbit.sum_cost, scale),
+                    max_cost=Fraction(orbit.max_cost, scale),
+                    potential=potential(instance, profile),
+                )
+            )
     if instance.n > 0 and not entries:
         raise InternalAssertion("a feasible game must have a Nash equilibrium")
-    return EquilibriumSet(entries, sum(entry.multiplicity for entry in entries))
+    return EquilibriumSet(tuple(entries), sum(entry.multiplicity for entry in entries))
 
 
 def all_nash(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> EquilibriumSet:

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from math import log10
+
 
 class CsglabError(Exception):
     """Base class for all csglab errors; a command they end exits with ``exit_code``."""
@@ -17,7 +19,8 @@ class PathExplosion(CsglabError):
     The instance is too large for exhaustive analysis at the requested cap.
     ``what`` names the enumeration that exploded. ``count`` is the offending
     count when it is known exactly (profile products), otherwise None
-    (enumeration aborted at cap + 1).
+    (enumeration aborted at cap + 1). The message gives a count of more than
+    15 digits as a power of ten, so its length barely grows with the count.
     """
 
     exit_code = 3  # a cap was exceeded
@@ -27,8 +30,10 @@ class PathExplosion(CsglabError):
         self.count = count
         if count is None:
             super().__init__(f"{what} exceeded the cap of {cap}")
-        else:
+        elif count < 10**15:
             super().__init__(f"{what} = {count} exceeds the cap of {cap}")
+        else:
+            super().__init__(f"{what} ≈ 10^{log10(count):.1f} exceeds the cap of {cap}")
 
 
 class SchemeViolation(CsglabError):

@@ -338,13 +338,15 @@ def make_instance(
 ) -> GameInstance:
     """Validate schemes and terminals, certify feasibility, freeze the instance.
 
-    ``cap`` bounds every enumeration of an agent's paths, for the life of
-    the instance. Symmetric games (a count, or terminals that are all the
-    graph's source and sink) are certified before any per-agent state is
-    built: the max flow under the edge capacities must reach the agent
-    count. Asymmetric games are certified by a pruned search for one
+    ``cap`` (at least 1) bounds every enumeration of an agent's paths, for
+    the life of the instance. Symmetric games (a count, or terminals that
+    are all the graph's source and sink) are certified before any per-agent
+    state is built: the max flow under the edge capacities must reach the
+    agent count. Asymmetric games are certified by a pruned search for one
     feasible profile. Infeasible games are rejected outright.
     """
+    if cap < 1:
+        raise ParameterViolation("cap must be >= 1")
     missing = [e.id for e in graph.edges if e.id not in schemes]
     if missing:
         raise ParameterViolation(f"edges without schemes: {missing}")
@@ -437,23 +439,26 @@ def is_feasible(instance: GameInstance, profile: StrategyProfile) -> bool:
     return all(load <= caps[e] for e, load in profile.loads.items())
 
 
-def _beyond_tables(instance: GameInstance, profile: StrategyProfile) -> MalformedProfile:
+def _beyond_tables(instance: GameInstance, count: int) -> MalformedProfile:
     """The scaled tables stop at load n; only a profile of more than n paths
     can ask for a share beyond it."""
-    return MalformedProfile(
-        f"profile has {len(profile.paths)} paths but the instance has {instance.n} agents"
-    )
+    return MalformedProfile(f"profile has {count} paths but the instance has {instance.n} agents")
 
 
 def _scaled_costs(
-    instance: GameInstance, profile: StrategyProfile, paths: Iterable[EdgePath]
+    instance: GameInstance,
+    profile: StrategyProfile,
+    paths: Iterable[EdgePath],
+    plus: EdgePath = (),
 ) -> tuple[int, int] | None:
     """scale * (sum, max) of what the agents holding ``paths`` pay under the
-    profile's loads; None on any overload. An agent on the same path object
-    as the agent before it shares its cost, so each run of one path is
-    costed once."""
-    if len(profile.paths) > len(instance.terminals):
-        raise _beyond_tables(instance, profile)
+    profile's loads, with one more agent on the edges of ``plus`` when it is
+    a path; None on any overload. An agent on the same path object as the
+    agent before it shares its cost, so each run of one path is costed
+    once."""
+    count = len(profile.paths) + bool(plus)
+    if count > len(instance.terminals):
+        raise _beyond_tables(instance, count)
     loads = profile.loads
     caps = instance.capacities
     shares = instance.scaled_shares
@@ -463,11 +468,12 @@ def _scaled_costs(
         if path is not previous:
             previous, cost = path, 0
             for e in path:
-                load = loads[e]
+                load = loads[e] + (e in plus)
                 if load > caps[e]:
                     return None
                 cost += shares[e][load]
-            worst = max(worst, cost)
+            if cost > worst:
+                worst = cost
         total += cost
     return total, worst
 
@@ -493,7 +499,7 @@ def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
 def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
     """scale * the potential; InfeasibleProfile on any overload."""
     if len(profile.paths) > len(instance.terminals):
-        raise _beyond_tables(instance, profile)
+        raise _beyond_tables(instance, len(profile.paths))
     caps = instance.capacities
     prefix = instance.scaled_prefix
     total = 0
@@ -602,7 +608,7 @@ def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
     that can improve; its witness is computed when read.
     """
     if len(profile.paths) > instance.n:
-        raise _beyond_tables(instance, profile)  # zip below would drop the extra paths
+        raise _beyond_tables(instance, len(profile.paths))  # zip below would drop the extra paths
     if not is_feasible(instance, profile):
         raise InfeasibleProfile("equilibrium test requires a feasible profile")
     scanned = set()

@@ -3,7 +3,7 @@ from math import prod
 
 import pytest
 
-from csglab import analysis
+from csglab import analysis, game
 from csglab.analysis import (
     Criterion,
     all_nash,
@@ -16,7 +16,6 @@ from csglab.analysis import (
 from csglab.dynamics import run_dynamics
 from csglab.errors import NotSeriesParallel, PathExplosion
 from csglab.game import (
-    agent_cost,
     is_nash,
     make_instance,
     make_ordinary_scheme,
@@ -28,7 +27,7 @@ from csglab.game import (
 from csglab.graphs import GraphClass, make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
 
-from helpers import oracle_best_response, oracle_feasible_profiles, oracle_is_nash
+from helpers import oracle_feasible_profiles, oracle_is_nash
 
 EPS = Fraction(1, 100)
 
@@ -79,6 +78,17 @@ def test_enumerate_raises_on_product_explosion():
     # the cap bounds the ordered product, not the 6 orbits
     with pytest.raises(PathExplosion, match="2×2×2×2×2 = 32"):
         enumerate_orbits(inst, cap=10)
+
+
+def test_product_explosion_message_stays_short():
+    # 2^15000 has more digits than Python converts to a string by default
+    for n, product in ((1000, "2^1000 ≈ 10^301.0"), (15000, "2^15000 ≈ 10^4515.4")):
+        with pytest.raises(PathExplosion) as info:
+            enumerate_orbits(two_link(n))
+        assert str(info.value) == f"ordered profile product {product} exceeds the cap of 10000"
+        assert info.value.count == 2**n
+    assert analysis._factors([1, 2, 2, 3, 3, 3, 4, 5, 6]) == "6×5×4×3^3×…"
+    assert analysis._factors([2] * 8) == "2×2×2×2×2×2×2×2"
 
 
 # --- orbits ------------------------------------------------------------------------
@@ -195,23 +205,17 @@ def test_orbit_analysis_matches_ordered_reference():
             assert equilibria.total_count == total
 
 
-def test_is_nash_runs_only_where_the_last_agent_is_content(monkeypatch):
+def test_orbit_pass_decides_every_agent_without_a_deviation_scan(monkeypatch):
     inst = random_asymmetric(7298, 3, "mixed")  # three distinct terminal pairs
-    tested = []
-    real = analysis.is_nash
-    monkeypatch.setattr(analysis, "is_nash", lambda i, p: tested.append(p) or real(i, p))
+    scans = []
+    monkeypatch.setattr(game, "_improving_move", lambda *args: scans.append(args))
     report = compute_ratios(inst)
+    assert scans == []
 
-    last = inst.n - 1
-    content = []
     orbits = [profile for profile, _ in enumerate_orbits(inst)]
-    for profile in orbits:
-        cost = agent_cost(inst, profile, last)
-        move = oracle_best_response(inst, profile, last)
-        if (cost if move is None else move.new_cost) == cost:
-            content.append(profile)
-    assert tested == content
-    assert len(report.equilibria.entries) < len(content) < len(orbits)  # 2 < 7 < 14
+    expected = [profile for profile in orbits if oracle_is_nash(inst, profile)]
+    assert [e.profile for e in report.equilibria.entries] == expected
+    assert (len(expected), len(orbits)) == (2, 14)
 
 
 def test_last_agent_blocked_from_its_cheaper_link_is_an_equilibrium():

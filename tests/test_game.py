@@ -13,6 +13,7 @@ from csglab.errors import (
     PathExplosion,
 )
 from csglab.game import (
+    _scaled_costs,
     agent_cost,
     best_response,
     feasible_extension,
@@ -125,6 +126,19 @@ def test_agent_cost_overload_is_infinite():
     assert sum_cost(inst, crowded) is INFINITY
     assert max_cost(inst, crowded) is INFINITY
     assert not is_feasible(inst, crowded)
+
+
+def test_cost_kernel_puts_one_more_agent_on_the_added_path():
+    inst, _ = crowded_unit_links()
+    head = inst.partial_profile(((0,),))
+    alone = (5 * inst.scale, 5 * inst.scale)
+    assert _scaled_costs(inst, head, head.paths) == alone
+    assert _scaled_costs(inst, head, head.paths, (1,)) == alone
+    # only the added agent overloads link 0
+    assert _scaled_costs(inst, head, head.paths, (0,)) is None
+    full = inst.profile(((0,), (1,)))
+    with pytest.raises(MalformedProfile, match="profile has 3 paths but the instance has 2 agents"):
+        _scaled_costs(inst, full, full.paths, (0,))
 
 
 def test_sum_and_max_cost_crossed_dag():

@@ -167,6 +167,10 @@ def unreachable_agent(doc):
     doc["agents"] = [{"source": "t", "sink": "s"}]
 
 
+def no_agents(doc):
+    doc["agents"] = 0
+
+
 def back_edge(doc):
     doc["edges"].append({"id": 2, "tail": "t", "head": "s", "cost": "1", "capacity": 1})
 
@@ -191,6 +195,14 @@ def back_edge(doc):
             "no feasible strategy profile exists", id="unreachable-sink",
         ),
         pytest.param(None, ["analyze", "--cap", "0"], None, "cap must be >= 1", id="zero-cap"),
+        # a game with no agents enumerates no path, so only the instance checks its cap
+        *(
+            pytest.param(
+                no_agents, [command, "--cap", cap], None, "cap must be >= 1", id=f"{command}-no-agents-cap{cap}",
+            )
+            for command in ("analyze", "dynamics")
+            for cap in ("0", "-5")
+        ),
         pytest.param(None, ["dynamics"], [[], [0]], "empty path", id="empty-start-path"),
         pytest.param(
             back_edge, ["dynamics"], [[0, 2, 0], [0]], "path revisits node 's'", id="start-path-revisits",

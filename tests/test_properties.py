@@ -5,15 +5,17 @@ from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from csglab.analysis import compute_ratios
-
+from csglab.errors import MalformedProfile
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
     Deviation,
     StrategyProfile,
     _improving_move,
+    _scaled_costs,
     agent_cost,
     best_response,
     feasible_extension,
@@ -389,6 +391,19 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
         expected_costs = oracle_social_costs(inst, profile)
         for social in (profile, copied):
             assert (sum_cost(inst, social), max_cost(inst, social)) == expected_costs
+        # the head, every agent but the last, costed with one more agent on a
+        # path Q, against the materialized head + Q; Q alone may overload
+        head = StrategyProfile(paths_chosen[:-1])
+        for last in paths:
+            materialized = StrategyProfile(head.paths + (last,))
+            costs = [oracle_agent_cost(inst, materialized, j) for j in range(agents - 1)]
+            if INFINITY in costs:
+                expected_head = None
+            else:
+                expected_head = (sum(costs) * inst.scale, max(costs, default=0) * inst.scale)
+            assert _scaled_costs(inst, head, head.paths, last) == expected_head
+        with pytest.raises(MalformedProfile, match=f"profile has {agents + 1} paths"):
+            _scaled_costs(inst, profile, profile.paths, paths[0])
         if not is_feasible(inst, profile):
             continue
         assert potential(inst, profile) == oracle_potential(inst, profile)
