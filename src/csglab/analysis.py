@@ -103,12 +103,7 @@ def _cheapest_paths(
     """The paths in ``options`` that one agent prices cheapest when the
     other agents load ``loads`` with one more on ``plus`` and one fewer on
     ``minus``."""
-    others = dict(loads)
-    for e in plus:
-        others[e] = others.get(e, 0) + 1
-    for e in minus:
-        others[e] -= 1
-    prices = list(_prices(instance, others, options))
+    prices = list(_prices(instance, loads, options, plus, minus))
     floor = min(price for price in prices if price is not None)
     return frozenset(path for path, price in zip(options, prices) if price == floor)
 

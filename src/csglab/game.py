@@ -279,16 +279,13 @@ class GameInstance:
         """scaled_prefix[e][x] = scale * (sum of edge e's shares at loads 1..x)."""
         return {eid: tuple(accumulate(shares)) for eid, shares in self.scaled_shares.items()}
 
-    def st_paths(self, source: NodeId, sink: NodeId) -> tuple[EdgePath, ...]:
-        """Memoized simple-path enumeration between two nodes, under ``cap``."""
-        hit = self._cache.get((source, sink))
-        if hit is None:
-            hit = tuple(enumerate_st_paths(self.graph, source, sink, cap=self.cap))
-            self._cache[source, sink] = hit
-        return hit
-
     def agent_paths(self, agent: int) -> tuple[EdgePath, ...]:
-        return self.st_paths(*self.terminals[agent])
+        """The agent's simple paths under ``cap``, memoized per terminal pair."""
+        pair = self.terminals[agent]
+        hit = self._cache.get(pair)
+        if hit is None:
+            hit = self._cache[pair] = tuple(enumerate_st_paths(self.graph, *pair, cap=self.cap))
+        return hit
 
     def profile(self, paths: Sequence[Sequence[int]]) -> StrategyProfile:
         """Validate one path per agent and freeze the profile."""
@@ -521,27 +518,26 @@ def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
 
 def _prices(
     instance: GameInstance,
-    others: Mapping[int, int],
+    loads: Mapping[int, int],
     paths: Iterable[EdgePath],
-    limit: int | None = None,
+    plus: EdgePath = (),
+    minus: EdgePath = (),
 ) -> Iterator[int | None]:
-    """scale * what one agent pays on each path, given the loads ``others``
-    of all the other agents: the sum of s_e(others_e + 1) over the path's
-    edges. This is the agent's cost after moving to the path, and so the
-    one price behind every deviation. None for a path that meets an edge
-    the others already fill, or whose partial sum reaches ``limit``.
+    """scale * what one agent pays on each path: the sum of s_e(y_e + 1) over
+    its edges, where the other agents' loads y are ``loads`` plus one on the
+    edges of ``plus`` and minus one on the edges of ``minus``. This is the
+    agent's cost after moving to the path, the one price behind every
+    deviation; None for a path that meets an edge the others already fill.
     """
     caps = instance.capacities
     shares = instance.scaled_shares
     for path in paths:
         price = 0
         for e in path:
-            load = others.get(e, 0)
-            if load >= caps[e]:
+            load = loads.get(e, 0) + (e in plus) - (e in minus) + 1
+            if load > caps[e]:
                 break
-            price += shares[e][load + 1]
-            if limit is not None and price >= limit:
-                break
+            price += shares[e][load]
         else:
             yield price
             continue
@@ -556,26 +552,22 @@ def _improving_move(
 ) -> tuple[EdgePath, int, int] | None:
     """Scan the agent's paths in lexicographic order for a strict improvement.
 
-    The current cost comes from ``_scaled_costs``; every path, the held one
-    included, is priced against the other agents' loads, so pricing with
-    ``limit=current`` keeps exactly the strictly cheaper paths. "best" takes
-    the first of the cheapest, "first_improving" the first. Returns the
-    winner with the agent's current and new cost, both times ``scale``.
+    The current cost comes from ``_scaled_costs``, and every path, the held
+    one included, is priced against the profile's loads minus the held path;
+    a running best below the current cost keeps the strictly cheaper ones.
+    "best" takes the first of the cheapest, "first_improving" the first.
+    Returns the winner with the current and new cost, both times ``scale``.
     """
     held = profile.paths[agent]
     costs = _scaled_costs(instance, profile, (held,))
     if costs is None:
         raise InfeasibleProfile("deviation search requires a feasible profile")
-    current = costs[0]
-    others = dict(profile.loads)
-    for e in held:
-        others[e] -= 1
-
+    current = bound = costs[0]
     best = None
     options = instance.agent_paths(agent)
-    for candidate, price in zip(options, _prices(instance, others, options, current)):
-        if price is not None and (best is None or price < best[2]):
-            best = (candidate, current, price)
+    for candidate, price in zip(options, _prices(instance, profile.loads, options, minus=held)):
+        if price is not None and price < bound:
+            best, bound = (candidate, current, price), price
             if rule == "first_improving":
                 break
     return best

@@ -246,10 +246,7 @@ def random_asymmetric(
                     eid += 1
         if len(edges) < 3:
             continue
-        try:
-            graph = make_graph(nodes, edges, 0, count - 1)
-        except ParameterViolation:
-            continue
+        graph = make_graph(nodes, edges, 0, count - 1)
         if classify(graph) is not GraphClass.DAG:
             continue
 
