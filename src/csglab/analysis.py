@@ -56,7 +56,7 @@ def enumerate_profiles(
 ) -> list[StrategyProfile]:
     """All feasible profiles, ordered lexicographically by per-agent path rank."""
     options = _path_options(instance, cap)
-    return list(feasible_profiles(instance, options, [None] * instance.n))
+    return [StrategyProfile(paths) for paths, _ in feasible_profiles(instance, options, [None] * instance.n)]
 
 
 def _orbit_size(instance: GameInstance, paths: tuple[EdgePath, ...]) -> int:
@@ -144,9 +144,7 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
     anchor = previous.pop()
     cheapest: dict = {}  # (head without agent j, rank of Q) -> j's cheapest paths
     out = []
-    for head in feasible_profiles(instance, head_options, previous):
-        paths = head.paths
-        loads = head.loads
+    for paths, loads in feasible_profiles(instance, head_options, previous):
         prices = list(_prices(instance, loads, last_options))
         floor = min((p for p in prices if p is not None), default=None)
         start = 0 if anchor is None else last_options.index(paths[anchor])
@@ -155,7 +153,7 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
             if price is None:
                 continue
             last = last_options[rank]
-            costs = _scaled_costs(instance, head, paths, last)
+            costs = _scaled_costs(instance, loads, paths, last)
             if costs is None:
                 raise InternalAssertion("an enumerated feasible profile overloads an edge")
             nash = price == floor

@@ -187,13 +187,6 @@ class StrategyProfile:
         return len(self.paths)
 
 
-def _loaded_profile(paths: tuple[EdgePath, ...], loads: dict[int, int]) -> StrategyProfile:
-    """A profile whose ``loads`` cache is filled with the loads of ``paths``."""
-    profile = StrategyProfile(paths)
-    profile.__dict__["loads"] = loads
-    return profile
-
-
 class Deviation(NamedTuple):
     """A strictly improving unilateral path change for one agent."""
 
@@ -375,21 +368,22 @@ def make_instance(
     return GameInstance(graph, dict(schemes), (hub,) * agents, cap)
 
 
-def _find_feasible_assignment(instance: GameInstance) -> StrategyProfile | None:
-    """First feasible profile in path-rank order, or None (asymmetric games)."""
+def _find_feasible_assignment(instance: GameInstance) -> tuple[EdgePath, ...] | None:
+    """First feasible profile's paths in path-rank order, or None (asymmetric games)."""
     options = [instance.agent_paths(j) for j in range(instance.n)]
     if not all(options):
         return None
-    return next(feasible_profiles(instance, options, [None] * instance.n), None)
+    return next((paths for paths, _ in feasible_profiles(instance, options, [None] * instance.n)), None)
 
 
 def feasible_profiles(
     instance: GameInstance,
     options: Sequence[Sequence[EdgePath]],
     previous: Sequence[int | None],
-) -> Iterator[StrategyProfile]:
-    """Feasible profiles by pruned backtracking, in lexicographic order of
-    per-agent path rank (the index into ``options[j]``).
+) -> Iterator[tuple[tuple[EdgePath, ...], dict[int, int]]]:
+    """Feasible (paths, loads) pairs by pruned backtracking, in lexicographic
+    order of per-agent path rank (the index into ``options[j]``); each loads
+    map is a copy.
 
     Capacity overloads are pruned as agents are assigned. Agent j's rank
     starts at the rank chosen for agent ``previous[j]``, or at 0 when that
@@ -403,7 +397,7 @@ def feasible_profiles(
     while True:
         j = len(ranks)
         if j == len(options):
-            yield _loaded_profile(tuple(chosen), dict(loads))
+            yield tuple(chosen), dict(loads)
         elif rank < len(options[j]):
             path = options[j][rank]
             for e in path:
@@ -436,27 +430,25 @@ def is_feasible(instance: GameInstance, profile: StrategyProfile) -> bool:
     return all(load <= caps[e] for e, load in profile.loads.items())
 
 
-def _beyond_tables(instance: GameInstance, count: int) -> MalformedProfile:
-    """The scaled tables stop at load n; only a profile of more than n paths
-    can ask for a share beyond it."""
-    return MalformedProfile(f"profile has {count} paths but the instance has {instance.n} agents")
+def _loads(instance: GameInstance, profile: StrategyProfile) -> dict[int, int]:
+    """The profile's loads; a profile of more than n paths is rejected, as
+    the scaled tables stop at load n."""
+    if len(profile.paths) > instance.n:
+        raise MalformedProfile(f"profile has {len(profile.paths)} paths but the instance has {instance.n} agents")
+    return profile.loads
 
 
 def _scaled_costs(
     instance: GameInstance,
-    profile: StrategyProfile,
+    loads: Mapping[int, int],
     paths: Iterable[EdgePath],
     plus: EdgePath = (),
 ) -> tuple[int, int] | None:
-    """scale * (sum, max) of what the agents holding ``paths`` pay under the
-    profile's loads, with one more agent on the edges of ``plus`` when it is
-    a path; None on any overload. An agent on the same path object as the
+    """scale * (sum, max) of what the agents holding ``paths`` pay under
+    ``loads``, with one more agent on the edges of ``plus`` when it is a
+    path; None on any overload. An agent on the same path object as the
     agent before it shares its cost, so each run of one path is costed
     once."""
-    count = len(profile.paths) + bool(plus)
-    if count > len(instance.terminals):
-        raise _beyond_tables(instance, count)
-    loads = profile.loads
     caps = instance.capacities
     shares = instance.scaled_shares
     total = worst = cost = 0
@@ -477,30 +469,28 @@ def _scaled_costs(
 
 def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
     """Sum of shares along the agent's path, or INFINITY on any overload."""
-    costs = _scaled_costs(instance, profile, (profile.paths[agent],))
+    costs = _scaled_costs(instance, _loads(instance, profile), (profile.paths[agent],))
     return INFINITY if costs is None else Fraction(costs[0], instance.scale)
 
 
 def sum_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
     """Total of all agents' costs (0 for the empty game); INFINITY on any overload."""
-    costs = _scaled_costs(instance, profile, profile.paths)
+    costs = _scaled_costs(instance, _loads(instance, profile), profile.paths)
     return INFINITY if costs is None else Fraction(costs[0], instance.scale)
 
 
 def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
     """Worst single agent cost (0 for the empty game); INFINITY on any overload."""
-    costs = _scaled_costs(instance, profile, profile.paths)
+    costs = _scaled_costs(instance, _loads(instance, profile), profile.paths)
     return INFINITY if costs is None else Fraction(costs[1], instance.scale)
 
 
 def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
     """scale * the potential; InfeasibleProfile on any overload."""
-    if len(profile.paths) > len(instance.terminals):
-        raise _beyond_tables(instance, len(profile.paths))
     caps = instance.capacities
     prefix = instance.scaled_prefix
     total = 0
-    for edge_id, load in profile.loads.items():
+    for edge_id, load in _loads(instance, profile).items():
         if load > caps[edge_id]:
             raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
         total += prefix[edge_id][load]
@@ -559,13 +549,14 @@ def _improving_move(
     Returns the winner with the current and new cost, both times ``scale``.
     """
     held = profile.paths[agent]
-    costs = _scaled_costs(instance, profile, (held,))
+    loads = _loads(instance, profile)
+    costs = _scaled_costs(instance, loads, (held,))
     if costs is None:
         raise InfeasibleProfile("deviation search requires a feasible profile")
     current = bound = costs[0]
     best = None
     options = instance.agent_paths(agent)
-    for candidate, price in zip(options, _prices(instance, profile.loads, options, minus=held)):
+    for candidate, price in zip(options, _prices(instance, loads, options, minus=held)):
         if price is not None and price < bound:
             best, bound = (candidate, current, price), price
             if rule == "first_improving":
@@ -599,8 +590,7 @@ def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
     at its first strict improvement. The result names the lowest-index agent
     that can improve; its witness is computed when read.
     """
-    if len(profile.paths) > instance.n:
-        raise _beyond_tables(instance, len(profile.paths))  # zip below would drop the extra paths
+    _loads(instance, profile)  # rejects the extra paths that zip below would drop
     if not is_feasible(instance, profile):
         raise InfeasibleProfile("equilibrium test requires a feasible profile")
     scanned = set()

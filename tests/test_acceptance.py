@@ -5,6 +5,8 @@ The criteria run at their full documented sizes through the same driver the
 """
 
 import hashlib
+import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,10 +40,13 @@ def test_criterion(name):
 
 # sha256 of the `csglab verify --suite paper` table without its final timing
 # line, taken before C4 and C5 read the reports' own verdicts: the suite's
-# rows must stay byte for byte what they were. Re-pinned once since, when
+# rows must stay byte for byte what they were. Re-pinned twice since: when
 # C1's two y=x^2 rows began to measure x=2 instead of reading the closed
-# forms at x=1 (the generator needs x < y); no other row changed.
-VERIFY_TABLE_SHA256 = "91808a7b425df7aceabfcb4113ee43f2860ca0662fd03e48394077760f45005a"
+# forms at x=1 (the generator needs x < y), and when C2's four "ratio
+# formula at eps=0" rows became measured "PoS_sc rises toward n + 1/n - 1
+# as eps falls" rows and C7's rebuild row began to count rounds and the
+# instances that ran one. No other row changed either time.
+VERIFY_TABLE_SHA256 = "e37deb4fce3449e14e65c38fcfa94818df484186179d8981fff710e3bd0bc9d2"
 
 
 def test_verify_table_digest_is_unchanged():
@@ -49,6 +54,18 @@ def test_verify_table_digest_is_unchanged():
     rows, timing = table.rsplit("\n", 1)
     assert timing.startswith("suite PASS: 45/45 checks passed in ")
     assert hashlib.sha256(rows.encode()).hexdigest() == VERIFY_TABLE_SHA256
+
+
+def test_budget_skips_the_criteria_started_after_it_runs_out(monkeypatch):
+    # every reading of the clock is one second after the last
+    ticks = itertools.count()
+    monkeypatch.setattr(verification, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    result = run_suite(["C3", "C2"], budget_s=1.5)
+    *ran, skipped = result.rows
+    assert [row.criterion for row in ran] == ["C3"] * 4 and all(row.passed for row in ran)
+    assert skipped == ("C2", "skipped: time budget exhausted", "-", "-", "2.0s elapsed", False)
+    assert not result.passed
+    assert format_table(result).endswith("suite FAIL: 4/5 checks passed in 3.0s")
 
 
 # --- the bound rows read the reports' own verdicts and can fail -------------------

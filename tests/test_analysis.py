@@ -16,6 +16,8 @@ from csglab.analysis import (
 from csglab.dynamics import run_dynamics
 from csglab.errors import NotSeriesParallel, PathExplosion
 from csglab.game import (
+    StrategyProfile,
+    feasible_profiles,
     is_nash,
     make_instance,
     make_ordinary_scheme,
@@ -43,6 +45,10 @@ def test_enumerate_crossed_dag_profiles_match_oracle():
     # frozen from the oracle: six ordered feasible profiles (three unordered
     # pairings of the five routes survive the unit capacities)
     assert len(got) == 6
+    # each pair the backtracker yields holds its own copy of its loads
+    options = [inst.agent_paths(j) for j in range(inst.n)]
+    pairs = list(feasible_profiles(inst, options, [None] * inst.n))
+    assert all(loads == StrategyProfile(paths).loads for paths, loads in pairs)
 
 
 def test_enumerate_single_agent_parallel_links():

@@ -272,6 +272,14 @@ def test_verify_unknown_criterion(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_verify_rejects_a_negative_or_nan_budget(capsys, budget):
+    code, out, err = run_cli(capsys, "verify", "--only", "C3", "--budget", budget)
+    assert code == 2
+    assert out == ""
+    assert "budget must be a number of seconds >= 0" in err
+
+
 def test_gen_random_sp_for_many_agents(capsys):
     code, out, err = run_cli(capsys, "gen", "random-sp", "--n", "100", "--seed", "0")
     assert code == 0, err

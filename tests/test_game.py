@@ -132,13 +132,10 @@ def test_cost_kernel_puts_one_more_agent_on_the_added_path():
     inst, _ = crowded_unit_links()
     head = inst.partial_profile(((0,),))
     alone = (5 * inst.scale, 5 * inst.scale)
-    assert _scaled_costs(inst, head, head.paths) == alone
-    assert _scaled_costs(inst, head, head.paths, (1,)) == alone
+    assert _scaled_costs(inst, head.loads, head.paths) == alone
+    assert _scaled_costs(inst, head.loads, head.paths, (1,)) == alone
     # only the added agent overloads link 0
-    assert _scaled_costs(inst, head, head.paths, (0,)) is None
-    full = inst.profile(((0,), (1,)))
-    with pytest.raises(MalformedProfile, match="profile has 3 paths but the instance has 2 agents"):
-        _scaled_costs(inst, full, full.paths, (0,))
+    assert _scaled_costs(inst, head.loads, head.paths, (0,)) is None
 
 
 def test_sum_and_max_cost_crossed_dag():

@@ -4,7 +4,7 @@ import pytest
 
 from csglab.analysis import compute_ratios
 from csglab.errors import ParameterViolation
-from csglab.game import is_feasible, is_nash, max_cost, sum_cost, validate_scheme
+from csglab.game import StrategyProfile, is_feasible, is_nash, max_cost, sum_cost, validate_scheme
 from csglab.graphs import GraphClass, classify
 from csglab.instances import (
     InstanceRecipe,
@@ -134,8 +134,8 @@ def test_random_asymmetric_deterministic_feasible_dag():
         # construction promises at least one feasible profile
         from csglab.game import _find_feasible_assignment
 
-        profile = _find_feasible_assignment(inst)
-        assert profile is not None and is_feasible(inst, profile)
+        paths = _find_feasible_assignment(inst)
+        assert paths is not None and is_feasible(inst, StrategyProfile(paths))
 
 
 # --- recipes ------------------------------------------------------------------------------

@@ -401,9 +401,9 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
                 expected_head = None
             else:
                 expected_head = (sum(costs) * inst.scale, max(costs, default=0) * inst.scale)
-            assert _scaled_costs(inst, head, head.paths, last) == expected_head
+            assert _scaled_costs(inst, head.loads, head.paths, last) == expected_head
         with pytest.raises(MalformedProfile, match=f"profile has {agents + 1} paths"):
-            _scaled_costs(inst, profile, profile.paths, paths[0])
+            sum_cost(inst, StrategyProfile(profile.paths + (paths[0],)))
         if not is_feasible(inst, profile):
             continue
         assert potential(inst, profile) == oracle_potential(inst, profile)
