@@ -82,29 +82,24 @@ def validate_scheme(scheme: CostSharingScheme) -> tuple[SchemeProblem, ...]:
     """Check the three scheme properties; empty result means the table is valid."""
     p = scheme.base_cost
     shares = scheme.shares
-    problems: list[SchemeProblem] = []
     if len(shares) != scheme.capacity:
-        problems.append(
-            SchemeProblem("shape", 0, f"table has {len(shares)} entries for capacity {scheme.capacity}")
-        )
-        return tuple(problems)
-    if p < 0:
-        problems.append(SchemeProblem("shape", 0, f"base cost {p} is negative"))
-        return tuple(problems)
-    if scheme.capacity >= 1 and shares[0] != p:
-        problems.append(
-            SchemeProblem("3", 1, f"solo share {shares[0]} differs from base cost {p}")
-        )
+        return (SchemeProblem("shape", 0, f"table has {len(shares)} entries for capacity {scheme.capacity}"),)
+    # compared in integers, cross-multiplied: a/b < e/f iff a*f < e*b (b, f > 0)
+    c, d = p.numerator, p.denominator
+    if c < 0:
+        return (SchemeProblem("shape", 0, f"base cost {p} is negative"),)
+    nums, dens = [s.numerator for s in shares], [s.denominator for s in shares]
+    problems: list[SchemeProblem] = []
+    if shares and (nums[0], dens[0]) != (c, d):
+        problems.append(SchemeProblem("3", 1, f"solo share {shares[0]} differs from base cost {p}"))
     for x in range(1, scheme.capacity):
-        if shares[x - 1] < shares[x]:
+        if nums[x - 1] * dens[x] < nums[x] * dens[x - 1]:
             problems.append(
                 SchemeProblem("1", x, f"share increases from {shares[x-1]} at {x} to {shares[x]} at {x+1}")
             )
     for x in range(1, scheme.capacity + 1):
-        if shares[x - 1] < p / x:
-            problems.append(
-                SchemeProblem("2", x, f"share {shares[x-1]} at load {x} is below {p}/{x}")
-            )
+        if nums[x - 1] * d * x < c * dens[x - 1]:
+            problems.append(SchemeProblem("2", x, f"share {shares[x-1]} at load {x} is below {p}/{x}"))
     return tuple(problems)
 
 
@@ -130,7 +125,8 @@ def make_ordinary_scheme(base_cost: RationalLike, capacity: int) -> CostSharingS
         raise ParameterViolation("base cost must be >= 0")
     if capacity < 0:
         raise ParameterViolation("capacity must be >= 0")
-    return CostSharingScheme(p, capacity, tuple(p / x for x in range(1, capacity + 1)))
+    num, den = p.numerator, p.denominator
+    return CostSharingScheme(p, capacity, tuple(Fraction(num, den * x) for x in range(1, capacity + 1)))
 
 
 def make_threshold_scheme(
@@ -147,9 +143,8 @@ def make_threshold_scheme(
         raise ParameterViolation("base cost must be >= 0")
     if not 1 <= full_share_at <= capacity:
         raise ParameterViolation("full_share_at must lie in 1..capacity")
-    shares = tuple(
-        p if x < full_share_at else p / x for x in range(1, capacity + 1)
-    )
+    num, den = p.numerator, p.denominator
+    shares = tuple(p if x < full_share_at else Fraction(num, den * x) for x in range(1, capacity + 1))
     return CostSharingScheme(p, capacity, shares)
 
 

@@ -9,7 +9,9 @@ dedicated volatile block.
 from __future__ import annotations
 
 import json
-from typing import Any, IO, Mapping
+from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Any, IO
 
 from .analysis import AnalysisReport, BoundCheck, EquilibriumSet, RatioValue
 from .dynamics import DynamicsTrace
@@ -291,8 +293,77 @@ def trace_to_document(trace: DynamicsTrace, instance: GameInstance) -> dict:
 # --- plumbing ------------------------------------------------------------------
 
 
-def canonical_json(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+# how json.dumps writes each scalar type; v - v is 0.0 only for finite floats
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if v - v == 0 else "NaN" if v != v else "Infinity" if v > 0 else "-Infinity",
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _flat(value: Any, pad: str) -> str | None:
+    """A scalar, a container of scalars or a list of int lists, closed on the
+    line ``pad`` starts, as json.dumps writes it; None for other containers."""
+    write = _SCALARS.get(type(value))
+    if write is not None:
+        return write(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not {*map(type, value.values())} <= _SCALARS.keys():
+            return None
+        # a non-str key fails in sorted() or in the encoder, with TypeError
+        texts = [f"{encode_basestring_ascii(k)}: {_SCALARS[type(v)](v)}" for k, v in sorted(value.items())]
+    elif not isinstance(value, (list, tuple)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif (kinds := {*map(type, value)}) <= _SCALARS.keys():
+        texts = map(int.__repr__, value) if kinds == {int} else [_SCALARS[type(v)](v) for v in value]
+    elif kinds <= {list, tuple} and all({*map(type, row)} == {int} for row in value):
+        deeper = inner + "  "  # every profile is such a list
+        texts = [f"[{deeper}{(',' + deeper).join(map(int.__repr__, row))}{inner}]" for row in value]
+    else:
+        return None
+    opener, closer = "{}" if isinstance(value, dict) else "[]"
+    return f"{opener}{inner}{(',' + inner).join(texts)}{pad}{closer}" if value else opener + closer
+
+
+def canonical_json(doc: Any) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"`` byte for byte, without the
+    pure-Python encoder that ``indent`` selects. Only dicts with str keys, lists, tuples,
+    str, int, float, bool and None are written; anything else raises TypeError, and a
+    cycle ValueError."""
+    out: list[str] = []
+    # a frame per open container: its (head, value) items, closing text, items' pad and id
+    stack = [(iter([("", doc)]), "", "\n", None)]
+    entered = set()  # ids of the open containers, so that a cycle raises as in json
+    while stack:
+        items, _, pad, _ = stack[-1]
+        for head, value in items:
+            out.append(head)
+            text = _flat(value, pad)
+            if text is None:
+                break
+            out.append(text)
+        else:
+            _, close, _, key = stack.pop()
+            entered.discard(key)
+            out.append(close)
+            continue
+        if id(value) in entered:
+            raise ValueError("Circular reference detected")
+        entered.add(id(value))
+        inner = pad + "  "
+        if isinstance(value, dict):
+            keys, children = zip(*sorted(value.items()))
+            heads, brackets = [f",{inner}{encode_basestring_ascii(k)}: " for k in keys], "{}"
+        else:
+            heads, children, brackets = [f",{inner}"] * len(value), value, "[]"
+        heads[0] = heads[0][1:]
+        out.append(brackets[0])
+        stack.append((zip(heads, children), pad + brackets[1], inner, id(value)))
+    out.append("\n")
+    return "".join(out)
 
 
 def load_json(stream: IO[str]) -> Any:
@@ -300,3 +371,5 @@ def load_json(stream: IO[str]) -> Any:
         return json.load(stream)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:  # json's scanner recurses once per level
+        raise InstanceFormatError("invalid JSON: arrays or objects nested too deeply to load") from None

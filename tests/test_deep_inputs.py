@@ -5,7 +5,9 @@ search that recurses once per edge or once per agent fails on it. The
 classification test runs a much longer path against the clock: a reduction
 that does quadratic work on it takes minutes. The chains of parallel pairs
 behind a bottleneck have exponentially many routes into a cut-off sink: a
-one-path search that re-opens nodes walks all of them.
+one-path search that re-opens nodes walks all of them. A document nested far
+beyond the limit is refused with exit 2, since json's own scanner recurses
+once per level.
 """
 
 import json
@@ -135,3 +137,41 @@ def test_analyze_on_a_long_bottleneck_chain_stops_at_the_path_cap(tmp_path, caps
     assert main(["analyze", str(path)]) == 3
     assert "exceeded the cap of 10000" in capsys.readouterr().err
     assert perf_counter() - started < 2
+
+
+DEEP = 100_000
+ONE_EDGE = {
+    "version": 1,
+    "agents": 1,
+    "nodes": ["s", "t"],
+    "source": "s",
+    "sink": "t",
+    "edges": [{"id": 0, "tail": "s", "head": "t", "cost": "1/1", "capacity": 1}],
+}
+
+
+def deep_array(depth):
+    return "[" * depth + "]" * depth
+
+
+def test_analyze_refuses_a_deeply_nested_document(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_array(DEEP))
+    assert main(["analyze", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_analyze_refuses_a_deeply_nested_recipe(tmp_path, capsys):
+    path = tmp_path / "deep-recipe.json"
+    path.write_text(json.dumps(ONE_EDGE)[:-1] + ', "recipe": ' + deep_array(DEEP) + "}")
+    assert main(["analyze", str(path)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_dynamics_refuses_a_deeply_nested_start_profile(tmp_path, capsys):
+    instance = tmp_path / "inst.json"
+    instance.write_text(json.dumps(ONE_EDGE))
+    start = tmp_path / "start.json"
+    start.write_text(deep_array(DEEP))
+    assert main(["dynamics", str(instance), "--start", str(start)]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
