@@ -3,6 +3,8 @@
 Build or load an instance, compute agent costs and potentials, run
 deviation dynamics to an equilibrium, enumerate all equilibria, and check
 the anarchy/stability bounds that apply to the instance's graph class.
+The instance generators live in ``csglab.instances`` and the acceptance
+suite in ``csglab.verification``; importing the package loads neither.
 """
 
 from .analysis import (
@@ -78,15 +80,6 @@ from .graphs import (
     make_graph,
     parallel,
     series,
-)
-from .instances import (
-    InstanceRecipe,
-    build_recipe,
-    crossed_dag,
-    overhead_parallel,
-    random_asymmetric,
-    random_sp,
-    two_link,
 )
 from .rational import INFINITY, Cost, Infinity, as_decimal, format_rational, parse_rational
 

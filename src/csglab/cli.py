@@ -1,9 +1,12 @@
 """Command line front end: gen / analyze / dynamics / verify.
 
 Exit codes: 0 success, 1 a claimed bound shown in the report was violated
-(or the verify suite failed), 2 bad input or parameters, 3 a cap was
-exceeded (an enumeration explosion or the dynamics step cap). The default
+(or a verify check failed), 2 bad input or parameters, 3 a cap was
+exceeded (an enumeration explosion or the dynamics step cap), 4 verify
+spent its --budget and skipped criteria, with no check failed. The default
 seed for random recipes comes from the CSGLAB_SEED environment variable.
+gen loads the instance generators, verify also the acceptance suite, and
+analyze and dynamics load neither.
 """
 
 from __future__ import annotations
@@ -13,12 +16,11 @@ import os
 import sys
 import time
 
-from . import verification
 from .analysis import Criterion, compute_ratios, optimal_profile
 from .dynamics import DEFAULT_STEP_CAP, DeviationPolicy, run_dynamics
 from .errors import CsglabError, InstanceFormatError, InternalAssertion, ParameterViolation
+from .game import SCHEME_FAMILIES
 from .graphs import DEFAULT_PATH_CAP
-from .instances import SCHEME_FAMILIES, InstanceRecipe, build_recipe
 from .io import (
     canonical_json,
     instance_from_document,
@@ -62,27 +64,24 @@ def _read_instance(path: str, cap: int):
 # --- gen ------------------------------------------------------------------------
 
 
-def _recipe_from_args(args: argparse.Namespace) -> InstanceRecipe:
+def _recipe_params(args: argparse.Namespace) -> dict:
     kind = args.recipe
     if kind == "fig2":
-        return InstanceRecipe("fig2", {"x": parse_rational(args.x), "y": parse_rational(args.y)})
+        return {"x": parse_rational(args.x), "y": parse_rational(args.y)}
     if kind == "fig3":
-        return InstanceRecipe("fig3", {"n": args.n, "eps": parse_rational(args.eps)})
+        return {"n": args.n, "eps": parse_rational(args.eps)}
     if kind == "two-link":
-        return InstanceRecipe("two-link", {"n": args.n})
+        return {"n": args.n}
     seed = args.seed if args.seed is not None else _default_seed()
     if kind == "random-sp":
-        return InstanceRecipe(
-            "random-sp",
-            {"seed": seed, "n": args.n, "max_depth": args.max_depth, "scheme": args.scheme},
-        )
-    if kind == "random-asymmetric":
-        return InstanceRecipe("random-asymmetric", {"seed": seed, "n": args.n, "scheme": args.scheme})
-    raise ParameterViolation(f"unknown recipe {kind!r}")
+        return {"seed": seed, "n": args.n, "max_depth": args.max_depth, "scheme": args.scheme}
+    return {"seed": seed, "n": args.n, "scheme": args.scheme}  # random-asymmetric
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    recipe = _recipe_from_args(args)
+    from .instances import InstanceRecipe, build_recipe
+
+    recipe = InstanceRecipe(args.recipe, _recipe_params(args))
     instance = build_recipe(recipe)
     doc = instance_to_document(instance, recipe=recipe.as_document())
     _write_out(canonical_json(doc), args.out)
@@ -144,13 +143,16 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite != "paper":
         raise ParameterViolation(f"unknown suite {args.suite!r}")
+    from .verification import BUDGET_SKIP, format_table, run_suite
+
     names = args.only.split(",") if args.only else None
     try:
-        result = verification.run_suite(names, budget_s=args.budget)
+        result = run_suite(names, budget_s=args.budget)
     except ValueError as exc:
         raise ParameterViolation(str(exc))
-    print(verification.format_table(result))
-    return 0 if result.passed else 1
+    print(format_table(result))
+    failed = {row.claim for row in result.rows if not row.passed}
+    return 0 if not failed else 4 if failed == {BUDGET_SKIP} else 1
 
 
 # --- parser --------------------------------------------------------------------------

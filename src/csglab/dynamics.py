@@ -10,7 +10,6 @@ across rebuild rounds until the bound holds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -35,7 +34,7 @@ from .game import (
     potential,
     sum_cost,
 )
-from .graphs import EdgePath
+from .graphs import EdgePath, Frozen
 
 DEFAULT_STEP_CAP = 10_000
 
@@ -43,23 +42,21 @@ ORDERINGS = ("round_robin", "random")
 RULES = ("best", "first_improving")
 
 
-@dataclass(frozen=True)
-class DeviationPolicy:
+class DeviationPolicy(Frozen):
     """How agents take turns and which improving move they pick.
 
     Round-robin visits agents by index; "random" reshuffles each pass with
     a seeded generator, so runs are reproducible given the seed.
     """
 
-    ordering: str = "round_robin"
-    rule: str = "best"
-    seed: int = 0
+    FIELDS = ("ordering", "rule", "seed")
 
-    def __post_init__(self):
-        if self.ordering not in ORDERINGS:
-            raise ParameterViolation(f"unknown ordering {self.ordering!r}")
-        if self.rule not in RULES:
-            raise ParameterViolation(f"unknown rule {self.rule!r}")
+    def __init__(self, ordering: str = "round_robin", rule: str = "best", seed: int = 0):
+        if ordering not in ORDERINGS:
+            raise ParameterViolation(f"unknown ordering {ordering!r}")
+        if rule not in RULES:
+            raise ParameterViolation(f"unknown rule {rule!r}")
+        self.__dict__.update(ordering=ordering, rule=rule, seed=seed)
 
 
 DEFAULT_POLICY = DeviationPolicy()

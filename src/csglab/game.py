@@ -17,7 +17,6 @@ every public return value is still a Fraction.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -38,6 +37,7 @@ from .errors import (
 from .graphs import (
     DEFAULT_PATH_CAP,
     EdgePath,
+    Frozen,
     Graph,
     GraphClass,
     NodeId,
@@ -51,6 +51,9 @@ RationalLike = Union[int, Fraction]
 
 
 # --- cost-sharing schemes ---------------------------------------------------
+
+# the share-table families the random generators draw
+SCHEME_FAMILIES = ("ordinary", "threshold", "random", "mixed")
 
 
 class SchemeProblem(NamedTuple):
@@ -157,11 +160,13 @@ def is_ordinary_scheme(scheme: CostSharingScheme) -> bool:
 # --- strategy profiles ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
+class StrategyProfile(Frozen):
     """One edge-id path per agent, in agent index order."""
 
-    paths: tuple[EdgePath, ...]
+    FIELDS = ("paths",)
+
+    def __init__(self, paths: tuple[EdgePath, ...]):
+        self.__dict__["paths"] = paths
 
     @cached_property
     def loads(self) -> dict[int, int]:
@@ -192,19 +197,22 @@ class Deviation(NamedTuple):
     new_cost: Fraction
 
 
-@dataclass(frozen=True)
-class NashResult:
+class NashResult(Frozen):
     """Truthy iff no agent can strictly improve.
 
     ``agent`` is the lowest-index agent with a strictly improving move, or
     None on an equilibrium. The witness, that agent's best response (its
     cheapest move, ties to the lexicographically first path), is computed
-    when it is first read.
+    when it is first read. The repr leaves the instance out.
     """
 
-    instance: GameInstance = field(repr=False)
-    profile: StrategyProfile
-    agent: int | None
+    FIELDS = ("instance", "profile", "agent")
+
+    def __init__(self, instance: GameInstance, profile: StrategyProfile, agent: int | None):
+        self.__dict__.update(instance=instance, profile=profile, agent=agent)
+
+    def __repr__(self) -> str:
+        return f"NashResult(profile={self.profile!r}, agent={self.agent!r})"
 
     def __bool__(self) -> bool:
         return self.agent is None
@@ -219,20 +227,27 @@ class NashResult:
 # --- instances ---------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class GameInstance:
+class GameInstance(Frozen):
     """A feasible game: graph, one scheme per edge, one terminal pair per
     agent, and the cap on every terminal pair's path count.
 
-    Instances are immutable; the private cache only memoizes pure path
-    enumerations, so sharing an instance across threads is safe.
+    Instances are immutable and equal only to themselves. The cached
+    properties and the private cache only memoize pure computations on the
+    fields, so sharing an instance across threads is safe.
     """
 
-    graph: Graph
-    schemes: Mapping[int, CostSharingScheme]
-    terminals: tuple[tuple[NodeId, NodeId], ...]
-    cap: int  # bounds every enumeration of a terminal pair's paths
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    FIELDS = ("graph", "schemes", "terminals", "cap")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        graph: Graph,
+        schemes: Mapping[int, CostSharingScheme],
+        terminals: tuple[tuple[NodeId, NodeId], ...],
+        cap: int,  # bounds every enumeration of a terminal pair's paths
+    ):
+        self.__dict__.update(graph=graph, schemes=schemes, terminals=terminals, cap=cap, _cache={})
 
     @property
     def n(self) -> int:

@@ -7,7 +7,6 @@ results are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
@@ -27,18 +26,45 @@ class Edge(NamedTuple):
     head: NodeId
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the immutable values a NamedTuple cannot hold: ``__init__`` sets
+    each field once in ``__dict__``, where a ``cached_property`` also stores,
+    assigning or deleting an attribute raises AttributeError, and equality
+    (same type only), hash and repr go by the fields named in ``FIELDS``."""
+
+    FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r} to a {type(value).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.FIELDS])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)
+        return f"{type(self).__name__}({shown})"
+
+
+class Graph(Frozen):
     """Directed multigraph with designated source and sink terminals.
 
     Edge ids are unique integers; parallel edges are allowed (parallel-link
     graphs require them), self-loops are rejected at construction.
     """
 
-    nodes: tuple[NodeId, ...]
-    edges: tuple[Edge, ...]
-    source: NodeId
-    sink: NodeId
+    FIELDS = ("nodes", "edges", "source", "sink")
+
+    def __init__(self, nodes: tuple[NodeId, ...], edges: tuple[Edge, ...], source: NodeId, sink: NodeId):
+        self.__dict__.update(nodes=nodes, edges=edges, source=source, sink=sink)
 
     @cached_property
     def edge_map(self) -> dict[int, Edge]:
@@ -102,21 +128,22 @@ class GraphClass(Enum):
 # --- series-parallel expressions ------------------------------------------
 
 
-@dataclass(frozen=True)
-class EdgeLeaf:
+class EdgeLeaf(Frozen):
     """A single directed source-to-sink edge."""
 
 
-@dataclass(frozen=True)
-class Series:
-    first: "SpExpression"
-    second: "SpExpression"
+class Series(Frozen):
+    FIELDS = ("first", "second")
+
+    def __init__(self, first: SpExpression, second: SpExpression):
+        self.__dict__.update(first=first, second=second)
 
 
-@dataclass(frozen=True)
-class Parallel:
-    first: "SpExpression"
-    second: "SpExpression"
+class Parallel(Frozen):
+    FIELDS = ("first", "second")
+
+    def __init__(self, first: SpExpression, second: SpExpression):
+        self.__dict__.update(first=first, second=second)
 
 
 SpExpression = Union[EdgeLeaf, Series, Parallel]

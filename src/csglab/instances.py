@@ -8,13 +8,13 @@ Random generators are pure functions of their seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping
 
 from . import flows
 from .errors import GenerationFailed, ParameterViolation, SelfCheckFailed
 from .game import (
+    SCHEME_FAMILIES,
     GameInstance,
     CostSharingScheme,
     is_nash,
@@ -26,6 +26,7 @@ from .game import (
 )
 from .graphs import (
     EdgeLeaf,
+    Frozen,
     GraphClass,
     Parallel,
     Series,
@@ -37,8 +38,6 @@ from .graphs import (
 )
 
 RationalLike = int | Fraction
-
-SCHEME_FAMILIES = ("ordinary", "threshold", "random", "mixed")
 
 
 def crossed_dag(x: RationalLike, y: RationalLike) -> GameInstance:
@@ -287,12 +286,14 @@ def random_asymmetric(
 # --- recipes -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InstanceRecipe:
-    """Serializable provenance for a generated instance."""
+class InstanceRecipe(Frozen):
+    """Serializable provenance for a generated instance: its kind (fig2 | fig3 |
+    two-link | random-sp | random-asymmetric | custom) and parameters."""
 
-    kind: str  # fig2 | fig3 | two-link | random-sp | random-asymmetric | custom
-    params: Mapping[str, object] = field(default_factory=dict)
+    FIELDS = ("kind", "params")
+
+    def __init__(self, kind: str, params: Mapping[str, object] | None = None):
+        self.__dict__.update(kind=kind, params={} if params is None else params)
 
     def as_document(self) -> dict:
         return {"kind": self.kind, "params": {k: str(v) for k, v in self.params.items()}}

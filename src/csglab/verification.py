@@ -16,6 +16,7 @@ from typing import NamedTuple
 from . import dynamics as dyn
 from .analysis import Criterion, compute_ratios, enumerate_profiles, optimal_profile, verify_lemma_cost_bound
 from .game import (
+    SCHEME_FAMILIES,
     GameInstance,
     agent_cost,
     feasible_extension,
@@ -27,10 +28,11 @@ from .game import (
     sum_cost,
 )
 from .graphs import enumerate_st_paths
-from .instances import SCHEME_FAMILIES, InstanceRecipe, build_recipe, crossed_dag, overhead_parallel, two_link
+from .instances import InstanceRecipe, build_recipe, crossed_dag, overhead_parallel, two_link
 from .rational import format_rational
 
 EPS_DEFAULT = Fraction(1, 1000)
+BUDGET_SKIP = "skipped: time budget exhausted"  # the claim of a criterion the budget skipped
 
 
 class CheckRow(NamedTuple):
@@ -525,7 +527,7 @@ def run_suite(
         elapsed = time.monotonic() - started
         if budget_s is not None and elapsed > budget_s:
             rows.append(
-                _row(name, "skipped: time budget exhausted", "-", "-", f"{elapsed:.1f}s elapsed", False)
+                _row(name, BUDGET_SKIP, "-", "-", f"{elapsed:.1f}s elapsed", False)
             )
             continue
         rows.extend(CRITERIA[name]())

@@ -1,9 +1,10 @@
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
-from csglab import instances
+from csglab import instances, verification
 from csglab.analysis import BoundCheck, compute_ratios
 from csglab.cli import main
 from csglab.errors import GenerationFailed, InternalAssertion
@@ -278,6 +279,24 @@ def test_verify_rejects_a_negative_or_nan_budget(capsys, budget):
     assert code == 2
     assert out == ""
     assert "budget must be a number of seconds >= 0" in err
+
+
+def test_verify_out_of_budget_exits_4(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "C3", "--budget", "0")
+    assert code == 4
+    assert "skipped: time budget exhausted" in out
+    assert "suite FAIL: 0/1" in out
+
+
+def test_verify_violation_exits_1_even_out_of_budget(capsys, monkeypatch):
+    def violated():
+        time.sleep(0.05)  # spends the budget, so C3 is skipped
+        return [verification.CheckRow("C1", "a violated claim", "-", "1", "2", False)]
+
+    monkeypatch.setitem(verification.CRITERIA, "C1", violated)
+    code, out, _ = run_cli(capsys, "verify", "--only", "C1,C3", "--budget", "0.01")
+    assert code == 1
+    assert "a violated claim" in out and "skipped: time budget exhausted" in out
 
 
 def test_gen_random_sp_for_many_agents(capsys):

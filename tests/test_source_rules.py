@@ -1,5 +1,5 @@
 """Rules on the package source: searches stay iterative, no helper or
-parameter is dead, plain records are NamedTuples, only game reads the
+parameter is dead, no module imports dataclasses, only game reads the
 scaled share tables, no IndexError is caught and no type test goes through
 a typing alias."""
 
@@ -11,8 +11,6 @@ import csglab
 SOURCES = sorted(Path(csglab.__file__).parent.glob("*.py"))
 # dynamics re-exports the deviation search from game, next to run_dynamics
 RE_EXPORTS = {("dynamics.py", "best_response")}
-# as tuples, Series(a, b) == Parallel(a, b) would hold
-DISTINCT_UNDER_EQ = {"EdgeLeaf", "Series", "Parallel"}
 # prices come from game._prices, so no other module needs the tables
 SCALED_TABLES = {"scaled_shares", "scaled_prefix"}
 
@@ -175,86 +173,54 @@ def test_no_unreferenced_private_helpers():
 
 
 def bare_name(node):
-    """The last name in a name, attribute or call: ``dataclass`` for
-    ``@dataclass``, ``@dataclass(frozen=True)`` and ``@dataclasses.dataclass``."""
-    if isinstance(node, ast.Call):
-        node = node.func
+    """The last name in a name or attribute: ``IndexError`` for
+    ``IndexError`` and ``builtins.IndexError``."""
     return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
 
 
-def plain_dataclasses(tree):
-    """Dataclasses that need nothing a NamedTuple lacks, in source order.
+def dataclass_imports(tree):
+    """Line of every import of the standard ``dataclasses`` module, in line order.
 
-    Building a frozen dataclass at import takes about eight times as long as
-    a NamedTuple (0.38 against 0.05 ms for four fields, Python 3.11 on a
-    Xeon). A dataclass is needed for a ``cached_property`` (which
-    needs ``__dict__``), for ``__post_init__`` validation and for
-    ``field(...)`` options such as a default factory.
+    Building a frozen dataclass at import takes 1.02-1.08 ms against 0.12 ms
+    for a NamedTuple (four fields, Python 3.11 on a Xeon), and the module
+    loads ``inspect`` besides. Plain records are NamedTuples; a value that
+    needs a ``cached_property``, a checked ``__init__`` or equality by its
+    own type subclasses ``graphs.Frozen``.
     """
-    found = []
+    lines = []
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef) or "dataclass" not in map(bare_name, node.decorator_list):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
             continue
-        needed = any(
-            isinstance(item, ast.FunctionDef)
-            and (item.name == "__post_init__" or "cached_property" in map(bare_name, item.decorator_list))
-            or isinstance(item, ast.Call) and bare_name(item) == "field"
-            for item in ast.walk(node)
-        )
-        if not needed:
-            found.append(node.name)
-    return found
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
-def test_rule_catches_plain_dataclasses():
+def test_rule_catches_dataclass_imports():
     source = """
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
+import os, dataclasses as dc
+from . import dataclasses_like
+from .dataclasses import local
 
-@dataclass(frozen=True)
-class Plain:
-    value: int
+def build():
+    from dataclasses import make_dataclass
+    return make_dataclass
 
-@dataclasses.dataclass
-class Qualified:
-    value: int
-
-@dataclass(frozen=True)
-class Cached:
-    value: int
-
-    @cached_property
-    def double(self):
-        return 2 * self.value
-
-@dataclass(frozen=True)
-class Checked:
-    value: int
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(self.value)
-
-@dataclass(frozen=True)
-class Defaulted:
-    values: dict = field(default_factory=dict)
-
-class Record(NamedTuple):
-    value: int
+class Record:
+    import dataclasses.fields
 """
-    assert plain_dataclasses(ast.parse(source)) == ["Plain", "Qualified"]
+    assert dataclass_imports(ast.parse(source)) == [2, 3, 4, 9, 13]
 
 
-def test_plain_records_are_named_tuples():
-    found = [
-        f"{path.name} {name}"
-        for path in SOURCES
-        for name in plain_dataclasses(ast.parse(path.read_text()))
-        if name not in DISTINCT_UNDER_EQ
-    ]
-    assert found == [], "dataclasses that should be NamedTuples: " + ", ".join(found)
+def test_no_module_imports_dataclasses():
+    found = [f"{path.name}:{line}" for path in SOURCES for line in dataclass_imports(ast.parse(path.read_text()))]
+    assert found == [], "dataclasses imports (use a NamedTuple or graphs.Frozen): " + ", ".join(found)
 
 
 def scaled_table_reads(tree):
