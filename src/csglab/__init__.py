@@ -16,7 +16,6 @@ from .analysis import (
     RatioValue,
     all_nash,
     compute_ratios,
-    enumerate_orbits,
     enumerate_profiles,
     optimal_profile,
     verify_lemma_cost_bound,
@@ -59,7 +58,6 @@ from .game import (
     is_nash,
     make_instance,
     make_ordinary_scheme,
-    make_scheme,
     make_threshold_scheme,
     max_cost,
     potential,

@@ -16,8 +16,8 @@ from math import factorial, prod
 from operator import attrgetter
 from typing import Mapping, NamedTuple
 
-from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
-from .game import GameInstance, StrategyProfile, _prices, _scaled_costs, feasible_profiles, potential
+from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric
+from .game import GameInstance, StrategyProfile, _path_options, _prices, _scaled_costs, feasible_profiles, potential
 from .graphs import DEFAULT_PATH_CAP, EdgePath, GraphClass, classify
 from .rational import Cost, INFINITY, is_finite
 
@@ -25,30 +25,6 @@ from .rational import Cost, INFINITY, is_finite
 class Criterion(Enum):
     SUM = "sc"
     MAX = "mc"
-
-
-def _path_options(instance: GameInstance, cap: int) -> list[tuple[EdgePath, ...]]:
-    """Each agent's paths, in rank order.
-
-    The instance's own cap bounds each agent's path count, and ``cap`` the
-    product of the counts; beyond either the instance is declared too large
-    for exhaustive work.
-    """
-    options = [instance.agent_paths(j) for j in range(instance.n)]
-    counts = [len(paths) for paths in options]
-    combinations = prod(counts, start=1)
-    if combinations > cap:
-        raise PathExplosion(f"ordered profile product {_factors(counts)}", cap, combinations)
-    return options
-
-
-def _factors(counts: list[int]) -> str:
-    """The path counts as a product: written out for up to eight agents,
-    else as powers of the distinct counts, largest first, at most four."""
-    if len(counts) <= 8:
-        return "×".join(map(str, counts)) or "1"
-    powers = [f"{c}^{k}" if k > 1 else str(c) for c, k in sorted(Counter(counts).items(), reverse=True)]
-    return "×".join(powers[:4]) + ("×…" if len(powers) > 4 else "")
 
 
 def enumerate_profiles(
@@ -66,20 +42,6 @@ def _orbit_size(instance: GameInstance, paths: tuple[EdgePath, ...]) -> int:
     arrangements = prod(factorial(size) for size in Counter(instance.terminals).values())
     repeats = Counter(zip(instance.terminals, paths)).values()
     return arrangements // prod(factorial(k) for k in repeats)
-
-
-def enumerate_orbits(
-    instance: GameInstance, cap: int = DEFAULT_PATH_CAP
-) -> list[tuple[StrategyProfile, int]]:
-    """One feasible profile per orbit, with the orbit's size.
-
-    An orbit is the set of profiles reached by permuting agents that share a
-    terminal pair. Each comes out as its lexicographically first ordered
-    member (ranks non-decreasing within each such class), and the orbits come
-    out in the order of those members. ``cap`` still bounds the ordered
-    profile product.
-    """
-    return [(o.profile, _orbit_size(instance, o.paths)) for o in _costed_orbits(instance, cap)]
 
 
 class _CostedOrbit(NamedTuple):

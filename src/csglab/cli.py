@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 a claimed bound shown in the report was violated
 (or a verify check failed), 2 bad input or parameters, 3 a cap was
 exceeded (an enumeration explosion or the dynamics step cap), 4 verify
-spent its --budget and skipped criteria, with no check failed. The default
+spent its --budget and skipped criteria, with no check failed, 5 an
+internal error (an ``InternalAssertion`` or any exception csglab did not
+raise on purpose), after its traceback. The default
 seed for random recipes comes from the CSGLAB_SEED environment variable.
 gen loads the instance generators, verify also the acceptance suite, and
 analyze and dynamics load neither.
@@ -227,14 +229,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InternalAssertion:
-        raise  # a bug, not a verdict on the input: keep the traceback
-    except CsglabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        if isinstance(exc, CsglabError) and not isinstance(exc, InternalAssertion):
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
+        import traceback  # a bug, not a verdict on the input; only a failing command loads it
+
+        traceback.print_exc()
+        return 5
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from . import flows
@@ -32,6 +32,7 @@ from .errors import (
     NotSeriesParallel,
     NotSymmetric,
     ParameterViolation,
+    PathExplosion,
     SchemeViolation,
 )
 from .graphs import (
@@ -77,9 +78,6 @@ class CostSharingScheme(NamedTuple):
     capacity: int
     shares: tuple[Fraction, ...]
 
-    def share(self, load: int) -> Fraction:
-        return self.shares[load - 1]
-
 
 def validate_scheme(scheme: CostSharingScheme) -> tuple[SchemeProblem, ...]:
     """Check the three scheme properties; empty result means the table is valid."""
@@ -104,21 +102,6 @@ def validate_scheme(scheme: CostSharingScheme) -> tuple[SchemeProblem, ...]:
         if nums[x - 1] * d * x < c * dens[x - 1]:
             problems.append(SchemeProblem("2", x, f"share {shares[x-1]} at load {x} is below {p}/{x}"))
     return tuple(problems)
-
-
-def make_scheme(
-    base_cost: RationalLike, capacity: int, shares: Iterable[RationalLike]
-) -> CostSharingScheme:
-    """Build and validate an explicit share table."""
-    if capacity < 0:
-        raise ParameterViolation("capacity must be >= 0")
-    scheme = CostSharingScheme(
-        Fraction(base_cost), capacity, tuple(Fraction(s) for s in shares)
-    )
-    problems = validate_scheme(scheme)
-    if problems:
-        raise SchemeViolation(problems)
-    return scheme
 
 
 def make_ordinary_scheme(base_cost: RationalLike, capacity: int) -> CostSharingScheme:
@@ -172,10 +155,6 @@ class StrategyProfile(Frozen):
     def loads(self) -> dict[int, int]:
         """Number of agents on each used edge (recomputable from paths)."""
         return dict(Counter(edge_id for path in self.paths for edge_id in path))
-
-    @cached_property
-    def used_edges(self) -> frozenset[int]:
-        return frozenset(self.loads)
 
     def replace(self, agent: int, path: EdgePath) -> "StrategyProfile":
         return StrategyProfile(self.paths[:agent] + (path,) + self.paths[agent + 1 :])
@@ -299,12 +278,6 @@ class GameInstance(Frozen):
         )
         return StrategyProfile(checked)
 
-    def partial_profile(self, paths: Sequence[Sequence[int]]) -> StrategyProfile:
-        """Freeze any number of source->sink paths (symmetric helpers)."""
-        hub = (self.graph.source, self.graph.sink)
-        checked = tuple(self._checked_path(path, *hub) for path in paths)
-        return StrategyProfile(checked)
-
     def _checked_path(self, path: Sequence[int], source: NodeId, sink: NodeId) -> EdgePath:
         if not path:
             raise MalformedProfile("empty path")
@@ -378,9 +351,36 @@ def make_instance(
     return GameInstance(graph, dict(schemes), (hub,) * agents, cap)
 
 
-def _find_feasible_assignment(instance: GameInstance) -> tuple[EdgePath, ...] | None:
-    """First feasible profile's paths in path-rank order, or None (asymmetric games)."""
+def _path_options(instance: GameInstance, cap: int) -> list[tuple[EdgePath, ...]]:
+    """Each agent's paths, in rank order.
+
+    The instance's own cap bounds each agent's path count, and ``cap`` the
+    product of the counts; beyond either the instance is declared too large
+    for exhaustive work.
+    """
     options = [instance.agent_paths(j) for j in range(instance.n)]
+    counts = [len(paths) for paths in options]
+    combinations = prod(counts, start=1)
+    if combinations > cap:
+        raise PathExplosion(f"ordered profile product {_factors(counts)}", cap, combinations)
+    return options
+
+
+def _factors(counts: list[int]) -> str:
+    """The path counts as a product: written out for up to eight agents,
+    else as powers of the distinct counts, largest first, at most four."""
+    if len(counts) <= 8:
+        return "×".join(map(str, counts)) or "1"
+    powers = [f"{c}^{k}" if k > 1 else str(c) for c, k in sorted(Counter(counts).items(), reverse=True)]
+    return "×".join(powers[:4]) + ("×…" if len(powers) > 4 else "")
+
+
+def _find_feasible_assignment(instance: GameInstance) -> tuple[EdgePath, ...] | None:
+    """First feasible profile's paths in path-rank order, or None (asymmetric
+    games). The search is bounded as the analysis is: an ordered profile
+    product beyond the instance's cap raises PathExplosion. A product of 0
+    bounds nothing, so an agent without paths is answered before any search."""
+    options = _path_options(instance, instance.cap)
     if not all(options):
         return None
     return next((paths for paths, _ in feasible_profiles(instance, options, [None] * instance.n)), None)

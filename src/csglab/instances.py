@@ -279,7 +279,8 @@ def random_asymmetric(
             e.id: _scheme_for(rng, scheme_family, _random_cost(rng), capacities[e.id])
             for e in graph.edges_by_id
         }
-        return make_instance(graph, schemes, terminals)
+        # feasible by construction: the capacities hold every picked path
+        return make_instance(graph, schemes, terminals, certify=False)
     raise GenerationFailed(f"could not build an asymmetric DAG instance for seed {seed}")
 
 
@@ -291,6 +292,7 @@ class InstanceRecipe(Frozen):
     two-link | random-sp | random-asymmetric | custom) and parameters."""
 
     FIELDS = ("kind", "params")
+    __hash__ = None  # params is a dict
 
     def __init__(self, kind: str, params: Mapping[str, object] | None = None):
         self.__dict__.update(kind=kind, params={} if params is None else params)

@@ -238,14 +238,8 @@ def report_to_document(
         ratios["poa_mc"] = _ratio_block(report.poa_mc)
         ratios["pos_mc"] = _ratio_block(report.pos_mc)
 
-    def tag_wanted(tag: str) -> bool:
-        if "_sc" in tag:
-            return want_sc
-        if "_mc" in tag:
-            return want_mc
-        return True
-
-    shown = [c for c in report.bounds if tag_wanted(c.tag)]
+    # every bound's tag names its criterion, "_sc" or "_mc"
+    shown = [c for c in report.bounds if (want_sc if "_sc" in c.tag else want_mc)]
     doc: dict[str, Any] = {
         "version": REPORT_VERSION,
         "graph_class": report.graph_class.value,

@@ -476,7 +476,7 @@ def criterion_8_extension() -> list[CheckRow]:
         valid = [
             path
             for path in enumerate_st_paths(instance.graph)
-            if set(path) <= big.used_edges
+            if set(path) <= big.loads.keys()
             and all(small_loads.get(e, 0) + 1 <= caps[e] for e in path)
         ]
         if not valid:

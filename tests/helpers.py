@@ -69,7 +69,7 @@ def oracle_agent_cost(instance: GameInstance, profile: StrategyProfile, agent: i
         scheme = instance.schemes[edge_id]
         if loads[edge_id] > scheme.capacity:
             return INFINITY
-        total += scheme.share(loads[edge_id])
+        total += scheme.shares[loads[edge_id] - 1]
     return total
 
 
@@ -117,7 +117,7 @@ def oracle_potential(instance: GameInstance, profile: StrategyProfile) -> Fracti
     for edge_id, load in profile.loads.items():
         scheme = instance.schemes[edge_id]
         for x in range(1, load + 1):
-            total += scheme.share(x)
+            total += scheme.shares[x - 1]
     return total
 
 
@@ -148,6 +148,6 @@ def oracle_extension_paths(
     return [
         path
         for path in oracle_paths(instance.graph)
-        if set(path) <= big.used_edges
+        if set(path) <= big.loads.keys()
         and all(small_loads.get(e, 0) + 1 <= caps[e] for e in path)
     ]

@@ -8,7 +8,6 @@ from csglab.analysis import (
     Criterion,
     all_nash,
     compute_ratios,
-    enumerate_orbits,
     enumerate_profiles,
     optimal_profile,
     verify_lemma_cost_bound,
@@ -26,12 +25,17 @@ from csglab.game import (
     potential,
     sum_cost,
 )
-from csglab.graphs import GraphClass, make_graph
+from csglab.graphs import DEFAULT_PATH_CAP, GraphClass, make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
 
 from helpers import oracle_feasible_profiles, oracle_is_nash
 
 EPS = Fraction(1, 100)
+
+
+def orbits(instance, cap=DEFAULT_PATH_CAP):
+    """Each orbit's first ordered member with the orbit's size, from the orbit pass."""
+    return [(o.profile, analysis._orbit_size(instance, o.paths)) for o in analysis._costed_orbits(instance, cap)]
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -83,18 +87,18 @@ def test_enumerate_raises_on_product_explosion():
     assert (info.value.cap, info.value.count) == (10, 32)
     # the cap bounds the ordered product, not the 6 orbits
     with pytest.raises(PathExplosion, match="2×2×2×2×2 = 32"):
-        enumerate_orbits(inst, cap=10)
+        orbits(inst, cap=10)
 
 
 def test_product_explosion_message_stays_short():
     # 2^15000 has more digits than Python converts to a string by default
     for n, product in ((1000, "2^1000 ≈ 10^301.0"), (15000, "2^15000 ≈ 10^4515.4")):
         with pytest.raises(PathExplosion) as info:
-            enumerate_orbits(two_link(n))
+            orbits(two_link(n))
         assert str(info.value) == f"ordered profile product {product} exceeds the cap of 10000"
         assert info.value.count == 2**n
-    assert analysis._factors([1, 2, 2, 3, 3, 3, 4, 5, 6]) == "6×5×4×3^3×…"
-    assert analysis._factors([2] * 8) == "2×2×2×2×2×2×2×2"
+    assert game._factors([1, 2, 2, 3, 3, 3, 4, 5, 6]) == "6×5×4×3^3×…"
+    assert game._factors([2] * 8) == "2×2×2×2×2×2×2×2"
 
 
 # --- orbits ------------------------------------------------------------------------
@@ -168,32 +172,32 @@ def _ordered_reference(instance):
     return optima, entries, sum(count for _, count in groups.values())
 
 
-def test_enumerate_orbits_two_link_multinomials():
-    orbits = enumerate_orbits(two_link(5))
-    assert [size for _, size in orbits] == [1, 5, 10, 10, 5, 1]
-    assert [p.paths for p, _ in orbits] == [
+def test_orbit_sizes_are_two_link_multinomials():
+    found = orbits(two_link(5))
+    assert [size for _, size in found] == [1, 5, 10, 10, 5, 1]
+    assert [p.paths for p, _ in found] == [
         tuple([(0,)] * (5 - k) + [(1,)] * k) for k in range(6)
     ]
 
 
-def test_enumerate_orbits_partitions_ordered_profiles():
+def test_orbits_partition_ordered_profiles():
     for inst in _orbit_pool():
         groups: dict = {}
         for profile in enumerate_profiles(inst):
             groups.setdefault(_orbit_key(inst, profile), []).append(profile)
         # each orbit is its first ordered member, in order, with its size
-        assert enumerate_orbits(inst) == [(members[0], len(members)) for members in groups.values()]
+        assert orbits(inst) == [(members[0], len(members)) for members in groups.values()]
 
 
 def test_mixed_terminal_orbits_keep_classes_apart():
     inst = _mixed_terminal_game()
-    orbits = enumerate_orbits(inst)
-    assert sum(size for _, size in orbits) == len(enumerate_profiles(inst))
+    found = orbits(inst)
+    assert sum(size for _, size in found) == len(enumerate_profiles(inst))
     # agent 1's path rank may fall below agent 0's; agent 2's may not
-    assert any(p.paths[1] == (0,) and p.paths[0] != (0, 2) for p, _ in orbits)
+    assert any(p.paths[1] == (0,) and p.paths[0] != (0, 2) for p, _ in found)
     ranks = inst.agent_paths(0)
-    assert all(ranks.index(p.paths[0]) <= ranks.index(p.paths[2]) for p, _ in orbits)
-    assert {size for _, size in orbits} == {1, 2}
+    assert all(ranks.index(p.paths[0]) <= ranks.index(p.paths[2]) for p, _ in found)
+    assert {size for _, size in found} == {1, 2}
 
 
 def test_orbit_analysis_matches_ordered_reference():
@@ -218,10 +222,10 @@ def test_orbit_pass_decides_every_agent_without_a_deviation_scan(monkeypatch):
     report = compute_ratios(inst)
     assert scans == []
 
-    orbits = [profile for profile, _ in enumerate_orbits(inst)]
-    expected = [profile for profile in orbits if oracle_is_nash(inst, profile)]
+    members = [profile for profile, _ in orbits(inst)]
+    expected = [profile for profile in members if oracle_is_nash(inst, profile)]
     assert [e.profile for e in report.equilibria.entries] == expected
-    assert (len(expected), len(orbits)) == (2, 14)
+    assert (len(expected), len(members)) == (2, 14)
 
 
 def test_last_agent_blocked_from_its_cheaper_link_is_an_equilibrium():

@@ -176,6 +176,84 @@ def test_cap_reaches_the_certification_of_asymmetric_games(tmp_path, capsys):
         assert "simple path enumeration from node 0 to node 14 exceeded the cap of 100" in err
 
 
+def blocked_hub_document(k):
+    """Agent 0 routes s0 -> m -> t0: one capacity-1 arc s0 -> m, then three
+    parallel arcs m -> t0. k independent agents each have three parallel
+    capacity-1 arcs. The last agent, x -> s0 -> m -> y, needs s0 -> m too, so
+    no profile is feasible, and a search in rank order meets the conflict only
+    after every choice of the agents before it."""
+    edges = []
+    for tail, head, copies in [("s0", "m", 1), ("m", "t0", 3), ("x", "s0", 1), ("m", "y", 1)] + [
+        (f"a{i}", f"b{i}", 3) for i in range(k)
+    ]:
+        edges += [
+            {"id": len(edges) + c, "tail": tail, "head": head, "cost": "1", "capacity": 1} for c in range(copies)
+        ]
+    agents = [("s0", "t0")] + [(f"a{i}", f"b{i}") for i in range(k)] + [("x", "y")]
+    return {
+        "version": 1,
+        "nodes": ["s0", "m", "t0", "x", "y"] + [f"{c}{i}" for i in range(k) for c in "ab"],
+        "edges": edges,
+        "source": "x",
+        "sink": "y",
+        "agents": [{"source": s, "sink": t} for s, t in agents],
+    }
+
+
+def test_asymmetric_certification_is_bounded_by_the_cap(tmp_path, capsys):
+    path = tmp_path / "hub.json"
+    path.write_text(json.dumps(blocked_hub_document(4)))  # 3^5 = 243 orders
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out, err) == (2, "", "error: no feasible strategy profile exists\n")
+    # 3^31 orders: refused at load as analyze refuses any product beyond its cap
+    path.write_text(json.dumps(blocked_hub_document(30)))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert err == "error: ordered profile product 3^31×1 = 617673396283947 exceeds the cap of 10000\n"
+    # a last agent without paths makes the product 0, which bounds no search
+    doc = blocked_hub_document(30)
+    doc["agents"][-1] = {"source": "y", "sink": "x"}
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out, err) == (2, "", "error: no feasible strategy profile exists\n")
+
+
+def _arc(eid, tail, head, cost):
+    return {"id": eid, "tail": tail, "head": head, "cost": cost, "capacity": 1}
+
+
+def test_zero_optimum_ratios_are_flagged_degenerate(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    one = {"version": 1, "agents": 1, "nodes": ["s", "t"], "source": "s", "sink": "t", "edges": [_arc(0, "s", "t", "0")]}
+    path.write_text(json.dumps(one))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    one_degenerate = {"exact": "1/1", "decimal": 1.0, "degenerate": True}
+    assert json.loads(out)["ratios"] == dict.fromkeys(["poa_sc", "pos_sc", "poa_mc", "pos_mc"], one_degenerate)
+
+    # two free routes s-a-t and s-b-t; crossing over a -> b or b -> a costs 1,
+    # and the crossed pair is an equilibrium: each agent's free arcs are full
+    arcs = [("s", "a", "0"), ("a", "t", "0"), ("s", "b", "0"), ("b", "t", "0"), ("a", "b", "1"), ("b", "a", "1")]
+    crossed = {
+        "version": 1,
+        "agents": 2,
+        "nodes": ["s", "a", "b", "t"],
+        "source": "s",
+        "sink": "t",
+        "edges": [_arc(eid, *arc) for eid, arc in enumerate(arcs + [("s", "t", "5")])],
+    }
+    path.write_text(json.dumps(crossed))
+    code, out, _ = run_cli(capsys, "analyze", str(path))
+    assert code == 0
+    ratios = json.loads(out)["ratios"]
+    assert ratios["poa_sc"] == {"exact": "inf", "decimal": None, "degenerate": True}
+    assert ratios["pos_sc"] == one_degenerate
+
+
 def _report_with_violated_mc_bound():
     report = compute_ratios(two_link(3))
     violated = BoundCheck(
@@ -316,13 +394,24 @@ def test_gen_generation_failure_exit_code(capsys, monkeypatch):
 
 
 def test_internal_assertion_keeps_its_traceback(capsys, monkeypatch):
-    # a failed invariant is a bug, not bad input: main must not turn it into exit 2
+    # a failed invariant is a bug, not bad input (exit 2) or a violated bound (exit 1)
     def broken(seed, agents, **kwargs):
         raise InternalAssertion("invariant failed")
 
     monkeypatch.setattr(instances, "random_asymmetric", broken)
-    with pytest.raises(InternalAssertion, match="invariant failed"):
-        main(["gen", "random-asymmetric", "--seed", "5", "--n", "2"])
+    code, out, err = run_cli(capsys, "gen", "random-asymmetric", "--seed", "5", "--n", "2")
+    assert (code, out) == (5, "")
+    assert err.startswith("Traceback") and err.endswith("InternalAssertion: invariant failed\n")
+
+
+def test_unexpected_error_exits_5_with_its_traceback(capsys, monkeypatch):
+    def broken(seed, agents, **kwargs):
+        raise ValueError("not raised on purpose")
+
+    monkeypatch.setattr(instances, "random_asymmetric", broken)
+    code, out, err = run_cli(capsys, "gen", "random-asymmetric", "--seed", "5", "--n", "2")
+    assert (code, out) == (5, "")
+    assert err.startswith("Traceback") and err.endswith("ValueError: not raised on purpose\n")
 
 
 def test_dynamics_cap_covers_the_deviation_scan(tmp_path, capsys):

@@ -15,7 +15,7 @@ from time import perf_counter
 
 from csglab.cli import main
 from csglab.flows import decompose_unit_paths, max_flow
-from csglab.game import feasible_extension, make_instance, make_ordinary_scheme
+from csglab.game import StrategyProfile, feasible_extension, make_instance, make_ordinary_scheme
 from csglab.graphs import EdgeLeaf, GraphClass, build_sp_graph, classify, make_graph, series
 
 LENGTH = 1200
@@ -78,7 +78,7 @@ def test_feasible_extension_on_long_path():
     instance = make_instance(graph, schemes, 2, certify=False)
     route = tuple(range(LENGTH))
     big = instance.profile([route, route])
-    small = instance.partial_profile([route])
+    small = StrategyProfile((route,))
     assert feasible_extension(instance, big, small) == route
 
 

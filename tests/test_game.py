@@ -13,6 +13,7 @@ from csglab.errors import (
     PathExplosion,
 )
 from csglab.game import (
+    StrategyProfile,
     _scaled_costs,
     agent_cost,
     best_response,
@@ -130,7 +131,7 @@ def test_agent_cost_overload_is_infinite():
 
 def test_cost_kernel_puts_one_more_agent_on_the_added_path():
     inst, _ = crowded_unit_links()
-    head = inst.partial_profile(((0,),))
+    head = StrategyProfile(((0,),))
     alone = (5 * inst.scale, 5 * inst.scale)
     assert _scaled_costs(inst, head.loads, head.paths) == alone
     assert _scaled_costs(inst, head.loads, head.paths, (1,)) == alone
@@ -201,7 +202,7 @@ def test_ordinary_fair_split_sums_to_base_costs():
         inst = random_sp(seed + 500, 2, scheme_family="ordinary")
         for profile in oracle_feasible_profiles(inst)[:20]:
             total = sum_cost(inst, profile)
-            base = sum(inst.schemes[e].base_cost for e in profile.used_edges)
+            base = sum(inst.schemes[e].base_cost for e in profile.loads)
             assert total == base
 
 
@@ -301,8 +302,8 @@ def test_equilibrium_leaves_every_best_response_unchanged():
 
 def test_extension_two_link_all_on_expensive():
     inst = two_link(4)
-    big = inst.partial_profile(((1,), (1,), (1,), (1,)))
-    small = inst.partial_profile(())
+    big = StrategyProfile(((1,), (1,), (1,), (1,)))
+    small = StrategyProfile(())
     # the expensive edge is the only one the big profile uses
     assert feasible_extension(inst, big, small) == (1,)
 
@@ -310,25 +311,25 @@ def test_extension_two_link_all_on_expensive():
 def test_extension_rejects_non_sp():
     inst = crossed_dag(1, 2)
     big = inst.profile(((0, 2, 6), (1, 5)))
-    small = inst.partial_profile(((0, 2, 6),))
+    small = StrategyProfile(((0, 2, 6),))
     with pytest.raises(NotSeriesParallel):
         feasible_extension(inst, big, small)
 
 
 def test_extension_requires_fewer_small_agents():
     inst = two_link(2)
-    big = inst.partial_profile(((0,), (1,)))
+    big = StrategyProfile(((0,), (1,)))
     with pytest.raises(ParameterViolation):
         feasible_extension(inst, big, big)
 
 
 def test_extension_fresh_path_case():
     inst = two_link(3)
-    small = inst.partial_profile(((0,), (1,)))
-    big = inst.partial_profile(((0,), (1,), (0,)))
+    small = StrategyProfile(((0,), (1,)))
+    big = StrategyProfile(((0,), (1,), (0,)))
     path = feasible_extension(inst, big, small)
-    assert set(path) <= big.used_edges
-    assert is_feasible(inst, inst.partial_profile(small.paths + (path,)))
+    assert set(path) <= big.loads.keys()
+    assert is_feasible(inst, StrategyProfile(small.paths + (path,)))
 
 
 # --- the scaled tables stop at load n -------------------------------------------
@@ -346,7 +347,7 @@ def test_costs_reject_a_profile_with_more_paths_than_agents():
         (two_links, ((1,), (1,), (0,), (0,))),
     ]
     for inst, paths in cases:
-        crowded = inst.partial_profile(paths)
+        crowded = StrategyProfile(paths)
         last = len(paths) - 1
         message = f"profile has {len(paths)} paths but the instance has 1 agents"
         for evaluate in (
@@ -365,13 +366,13 @@ def test_costs_reject_a_profile_with_more_paths_than_agents():
 def test_is_nash_rejects_paths_on_an_agentless_instance():
     inst = single_edge_instance(agents=0)
     with pytest.raises(MalformedProfile, match="profile has 1 paths but the instance has 0 agents"):
-        is_nash(inst, inst.partial_profile(((0,),)))
+        is_nash(inst, StrategyProfile(((0,),)))
 
 
 def test_feasibility_of_a_profile_with_more_paths_than_agents():
     inst = single_edge_instance(cost=6, capacity=3, agents=1)
-    assert is_feasible(inst, inst.partial_profile(((0,),) * 3))
-    assert not is_feasible(inst, inst.partial_profile(((0,),) * 4))
+    assert is_feasible(inst, StrategyProfile(((0,),) * 3))
+    assert not is_feasible(inst, StrategyProfile(((0,),) * 4))
 
 
 # --- the instance owns its path cap ----------------------------------------------

@@ -171,6 +171,14 @@ def no_agents(doc):
     doc["agents"] = 0
 
 
+def negative_agents(doc):
+    doc["agents"] = -1
+
+
+def agent_off_the_graph(doc):
+    doc["agents"] = [{"source": "s", "sink": "u"}]
+
+
 def back_edge(doc):
     doc["edges"].append({"id": 2, "tail": "t", "head": "s", "cost": "1", "capacity": 1})
 
@@ -189,6 +197,13 @@ def back_edge(doc):
         pytest.param(
             edit_edge(cost="-2"), ["analyze"], None,
             "base cost must be >= 0", id="negative-ordinary-cost",
+        ),
+        pytest.param(
+            edit_edge(scheme=5), ["analyze"], None, "edge 0: unknown scheme form 5", id="scheme-number",
+        ),
+        pytest.param(negative_agents, ["analyze"], None, "agent count must be >= 0", id="negative-agents"),
+        pytest.param(
+            agent_off_the_graph, ["analyze"], None, "agent 0 terminals not in graph", id="terminal-off-graph",
         ),
         pytest.param(
             unreachable_agent, ["analyze"], None,

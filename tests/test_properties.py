@@ -12,6 +12,7 @@ from csglab.analysis import compute_ratios
 from csglab.errors import MalformedProfile
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
+    CostSharingScheme,
     Deviation,
     StrategyProfile,
     _improving_move,
@@ -23,7 +24,6 @@ from csglab.game import (
     is_nash,
     make_instance,
     make_ordinary_scheme,
-    make_scheme,
     make_threshold_scheme,
     max_cost,
     potential,
@@ -304,7 +304,7 @@ def test_projected_tables_always_validate(p, c, weights):
         low = p / load
         high = shares[-1]
         shares.append(low + (high - low) * weights[load - 2])
-    scheme = make_scheme(p, c, shares)
+    scheme = CostSharingScheme(p, c, tuple(shares))
     assert validate_scheme(scheme) == ()
 
 
@@ -326,8 +326,8 @@ def test_extension_matches_brute_force_on_small_instances():
         valid = oracle_extension_paths(inst, big, small)
         assert valid, "the extension lemma promises a valid path"
         assert path in valid
-        assert set(path) <= big.used_edges
-        extended = inst.partial_profile(small.paths + (path,))
+        assert set(path) <= big.loads.keys()
+        extended = StrategyProfile(small.paths + (path,))
         assert is_feasible(inst, extended)
 
 
@@ -367,7 +367,7 @@ def table_scheme(draw, agents):
     for load in range(2, capacity + 1):
         low = base / load
         shares.append(low + (shares[-1] - low) * Fraction(draw(st.integers(0, q)), q))
-    return make_scheme(base, capacity, shares)
+    return CostSharingScheme(base, capacity, tuple(shares))
 
 
 @settings(max_examples=60, deadline=None)

@@ -8,7 +8,6 @@ from csglab.game import (
     CostSharingScheme,
     is_ordinary_scheme,
     make_ordinary_scheme,
-    make_scheme,
     make_instance,
     make_threshold_scheme,
     SchemeProblem,
@@ -80,9 +79,11 @@ def test_validate_reports_solo_price():
     assert any(p.prop == "3" and p.index == 1 for p in problems)
 
 
-def test_make_scheme_raises_on_invalid_table():
-    with pytest.raises(SchemeViolation):
-        make_scheme(5, 2, [5, 6])
+def test_make_instance_raises_on_invalid_table():
+    graph = make_graph(["s", "t"], [(0, "s", "t")], "s", "t")
+    table = CostSharingScheme(Fraction(5), 2, (Fraction(5), Fraction(6)))
+    with pytest.raises(SchemeViolation, match="share increases from 5 at 1 to 6 at 2"):
+        make_instance(graph, {0: table}, 1)
 
 
 def test_prefix_sums():
