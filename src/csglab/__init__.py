@@ -50,7 +50,6 @@ from .game import (
     CostSharingScheme,
     Deviation,
     GameInstance,
-    NashResult,
     StrategyProfile,
     agent_cost,
     feasible_extension,

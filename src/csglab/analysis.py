@@ -116,8 +116,6 @@ def _costed_orbits(instance: GameInstance, cap: int) -> list[_CostedOrbit]:
                 continue
             last = last_options[rank]
             costs = _scaled_costs(instance, loads, paths, last)
-            if costs is None:
-                raise InternalAssertion("an enumerated feasible profile overloads an edge")
             nash = price == floor
             if nash:
                 for j, held in enumerate(paths):

@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 from . import flows
 from .errors import (
-    InfeasibleProfile,
     InternalAssertion,
     NotSymmetric,
     ParameterViolation,
@@ -101,8 +100,6 @@ def run_dynamics(
     """
     if step_cap < 0:
         raise ParameterViolation(f"step cap must be non-negative, got {step_cap}")
-    if not is_feasible(instance, start):
-        raise InfeasibleProfile("dynamics must start from a feasible profile")
     rng = random.Random(policy.seed)
     n = len(start)
 
@@ -187,8 +184,6 @@ def low_max_cost_equilibrium(
     """
     if not instance.symmetric:
         raise NotSymmetric("the rebuild procedure requires shared terminals")
-    if not is_feasible(instance, max_cost_optimum):
-        raise InfeasibleProfile("reference profile is infeasible")
     n = instance.n
     if n == 0:
         raise ParameterViolation("need at least one agent")

@@ -3,8 +3,9 @@
 An instance couples a directed multigraph with one validated cost-sharing
 scheme per edge and one (source, sink) pair per agent. Agents pick paths;
 the price each agent pays on an edge is the edge's tabulated share at the
-edge's current load, or infinite when any edge on the agent's path is
-loaded beyond capacity.
+edge's current load. A profile that loads an edge beyond its capacity is
+not a strategy profile: every function that costs, tests or moves a profile
+refuses it with ``InfeasibleProfile``, and ``is_feasible`` tells it apart.
 
 Everything here is exact, and equality tests (Nash membership, ratio
 checks) never tolerate rounding. Shares are Fractions; the hot path (agent
@@ -46,7 +47,6 @@ from .graphs import (
     enumerate_st_paths,
     first_path,
 )
-from .rational import INFINITY, Cost
 
 RationalLike = Union[int, Fraction]
 
@@ -174,33 +174,6 @@ class Deviation(NamedTuple):
     new_path: EdgePath
     old_cost: Fraction
     new_cost: Fraction
-
-
-class NashResult(Frozen):
-    """Truthy iff no agent can strictly improve.
-
-    ``agent`` is the lowest-index agent with a strictly improving move, or
-    None on an equilibrium. The witness, that agent's best response (its
-    cheapest move, ties to the lexicographically first path), is computed
-    when it is first read. The repr leaves the instance out.
-    """
-
-    FIELDS = ("instance", "profile", "agent")
-
-    def __init__(self, instance: GameInstance, profile: StrategyProfile, agent: int | None):
-        self.__dict__.update(instance=instance, profile=profile, agent=agent)
-
-    def __repr__(self) -> str:
-        return f"NashResult(profile={self.profile!r}, agent={self.agent!r})"
-
-    def __bool__(self) -> bool:
-        return self.agent is None
-
-    @cached_property
-    def witness(self) -> Deviation | None:
-        if self.agent is None:
-            return None
-        return best_response(self.instance, self.profile, self.agent)
 
 
 # --- instances ---------------------------------------------------------------
@@ -441,11 +414,18 @@ def is_feasible(instance: GameInstance, profile: StrategyProfile) -> bool:
 
 
 def _loads(instance: GameInstance, profile: StrategyProfile) -> dict[int, int]:
-    """The profile's loads; a profile of more than n paths is rejected, as
-    the scaled tables stop at load n."""
+    """The profile's loads; the one gate of every function that takes a
+    profile. More than n paths is malformed, as the scaled tables stop at
+    load n, and an edge loaded over its capacity makes the profile
+    infeasible."""
     if len(profile.paths) > instance.n:
         raise MalformedProfile(f"profile has {len(profile.paths)} paths but the instance has {instance.n} agents")
-    return profile.loads
+    caps = instance.capacities
+    loads = profile.loads
+    for e, load in loads.items():
+        if load > caps[e]:
+            raise InfeasibleProfile(f"edge {e} loaded {load} over capacity {caps[e]}")
+    return loads
 
 
 def _scaled_costs(
@@ -453,12 +433,12 @@ def _scaled_costs(
     loads: Mapping[int, int],
     paths: Iterable[EdgePath],
     plus: EdgePath = (),
-) -> tuple[int, int] | None:
+) -> tuple[int, int]:
     """scale * (sum, max) of what the agents holding ``paths`` pay under
     ``loads``, with one more agent on the edges of ``plus`` when it is a
-    path; None on any overload. An agent on the same path object as the
-    agent before it shares its cost, so each run of one path is costed
-    once."""
+    path. Callers pass feasible loads only, so an overload is a bug. An
+    agent on the same path object as the agent before it shares its cost,
+    so each run of one path is costed once."""
     caps = instance.capacities
     shares = instance.scaled_shares
     total = worst = cost = 0
@@ -469,7 +449,7 @@ def _scaled_costs(
             for e in path:
                 load = loads[e] + (e in plus)
                 if load > caps[e]:
-                    return None
+                    raise InternalAssertion(f"cost kernel met edge {e} loaded {load} over capacity {caps[e]}")
                 cost += shares[e][load]
             if cost > worst:
                 worst = cost
@@ -477,34 +457,25 @@ def _scaled_costs(
     return total, worst
 
 
-def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
-    """Sum of shares along the agent's path, or INFINITY on any overload."""
-    costs = _scaled_costs(instance, _loads(instance, profile), (profile.paths[agent],))
-    return INFINITY if costs is None else Fraction(costs[0], instance.scale)
+def agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Fraction:
+    """Sum of shares along the agent's path."""
+    return Fraction(_scaled_costs(instance, _loads(instance, profile), (profile.paths[agent],))[0], instance.scale)
 
 
-def sum_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
-    """Total of all agents' costs (0 for the empty game); INFINITY on any overload."""
-    costs = _scaled_costs(instance, _loads(instance, profile), profile.paths)
-    return INFINITY if costs is None else Fraction(costs[0], instance.scale)
+def sum_cost(instance: GameInstance, profile: StrategyProfile) -> Fraction:
+    """Total of all agents' costs (0 for the empty game)."""
+    return Fraction(_scaled_costs(instance, _loads(instance, profile), profile.paths)[0], instance.scale)
 
 
-def max_cost(instance: GameInstance, profile: StrategyProfile) -> Cost:
-    """Worst single agent cost (0 for the empty game); INFINITY on any overload."""
-    costs = _scaled_costs(instance, _loads(instance, profile), profile.paths)
-    return INFINITY if costs is None else Fraction(costs[1], instance.scale)
+def max_cost(instance: GameInstance, profile: StrategyProfile) -> Fraction:
+    """Worst single agent cost (0 for the empty game)."""
+    return Fraction(_scaled_costs(instance, _loads(instance, profile), profile.paths)[1], instance.scale)
 
 
 def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
-    """scale * the potential; InfeasibleProfile on any overload."""
-    caps = instance.capacities
+    """scale * the potential."""
     prefix = instance.scaled_prefix
-    total = 0
-    for edge_id, load in _loads(instance, profile).items():
-        if load > caps[edge_id]:
-            raise InfeasibleProfile(f"edge {edge_id} loaded {load} over capacity {caps[edge_id]}")
-        total += prefix[edge_id][load]
-    return total
+    return sum(prefix[e][load] for e, load in _loads(instance, profile).items())
 
 
 def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
@@ -560,10 +531,7 @@ def _improving_move(
     """
     held = profile.paths[agent]
     loads = _loads(instance, profile)
-    costs = _scaled_costs(instance, loads, (held,))
-    if costs is None:
-        raise InfeasibleProfile("deviation search requires a feasible profile")
-    current = bound = costs[0]
+    current = bound = _scaled_costs(instance, loads, (held,))[0]
     best = None
     options = instance.agent_paths(agent)
     for candidate, price in zip(options, _prices(instance, loads, options, minus=held)):
@@ -592,25 +560,19 @@ def best_response(
     )
 
 
-def is_nash(instance: GameInstance, profile: StrategyProfile) -> NashResult:
+def is_nash(instance: GameInstance, profile: StrategyProfile) -> bool:
     """No-regret test: one first-improving scan per (terminal pair, path) class.
 
     Agents with the same terminals on the same path have the same moves, so
     only the lowest-index agent of each class is scanned, and each scan stops
-    at its first strict improvement. The result names the lowest-index agent
-    that can improve; its witness is computed when read.
+    at its first strict improvement. ``best_response`` gives an improving
+    agent's cheapest move.
     """
-    _loads(instance, profile)  # rejects the extra paths that zip below would drop
-    if not is_feasible(instance, profile):
-        raise InfeasibleProfile("equilibrium test requires a feasible profile")
-    scanned = set()
+    _loads(instance, profile)  # also rejects the extra paths that zip below would drop
+    first: dict = {}
     for agent, key in enumerate(zip(instance.terminals, profile.paths)):
-        if key in scanned:
-            continue
-        scanned.add(key)
-        if _improving_move(instance, profile, agent, "first_improving") is not None:
-            return NashResult(instance, profile, agent)
-    return NashResult(instance, profile, None)
+        first.setdefault(key, agent)
+    return all(_improving_move(instance, profile, agent, "first_improving") is None for agent in first.values())
 
 
 # --- feasible path extension (series-parallel) --------------------------------
@@ -639,13 +601,8 @@ def feasible_extension(
         raise NotSymmetric("feasible_extension requires shared terminals")
     if len(profile_small) >= len(profile_big):
         raise ParameterViolation("small profile must have fewer agents than big profile")
-    if not is_feasible(instance, profile_big):
-        raise InfeasibleProfile("big profile is infeasible")
-    if not is_feasible(instance, profile_small):
-        raise InfeasibleProfile("small profile is infeasible")
-
-    big_loads = profile_big.loads
-    small_loads = profile_small.loads
+    big_loads = _loads(instance, profile_big)
+    small_loads = _loads(instance, profile_small)
     graph = instance.graph
 
     def arcs(node: NodeId) -> Iterator[tuple[int, NodeId]]:

@@ -192,8 +192,9 @@ def random_sp(
     """
     if agents < 1:
         raise ParameterViolation("need at least one agent")
-    if max_depth < 0:
-        raise ParameterViolation(f"max_depth must be >= 0, got {max_depth}")
+    # the tree has at most 2**(max_depth + 1) - 1 nodes
+    if not 0 <= max_depth <= 16:
+        raise ParameterViolation(f"max_depth must lie in 0..16, got {max_depth}")
     if scheme_family not in SCHEME_FAMILIES:
         raise ParameterViolation(f"scheme_family must be one of {SCHEME_FAMILIES}")
     if cap_range[0] < 1 or cap_range[0] > cap_range[1]:

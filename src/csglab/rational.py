@@ -1,12 +1,12 @@
-"""Exact rational values and the absorbing infinite cost.
+"""Exact rational values and the infinite ratio.
 
 Every cost, share and potential the package hands out is a
 ``fractions.Fraction``; nothing is ever evaluated in floating point. Inside,
 the hot path runs on integers scaled by one per-instance denominator (the lcm
 of the share denominators, see ``GameInstance.scale``), which is just as
 exact, and converts back with ``Fraction(value, scale)`` at every public
-boundary. ``INFINITY`` is the distinguished cost of an agent whose path
-overloads an edge: it absorbs addition and dominates every comparison.
+boundary. ``INFINITY`` is the degenerate ratio x/0 of a positive cost over
+a zero optimum: it dominates every comparison.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import ParameterViolation
 
 
 class Infinity:
-    """Singleton infinite cost: ``x + INFINITY == INFINITY > x`` for finite x."""
+    """Singleton infinite ratio: ``INFINITY > x`` for every finite x."""
 
     _singleton = None
     __slots__ = ()
@@ -28,13 +28,6 @@ class Infinity:
         if cls._singleton is None:
             cls._singleton = super().__new__(cls)
         return cls._singleton
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
 
     def __eq__(self, other):
         return isinstance(other, Infinity)
@@ -98,7 +91,7 @@ def format_rational(value: Cost) -> str:
 
 
 def as_decimal(value: Cost) -> float | None:
-    """Float approximation for reports; None for the infinite cost and for
+    """Float approximation for reports; None for the infinite ratio and for
     values beyond the float range."""
     if isinstance(value, Infinity):
         return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from csglab.game import Deviation, GameInstance, StrategyProfile, agent_cost
+from csglab.game import Deviation, GameInstance, StrategyProfile
 from csglab.graphs import Graph
 from csglab.rational import INFINITY, Cost
 
@@ -50,13 +50,13 @@ def oracle_feasible_profiles(instance: GameInstance) -> list[StrategyProfile]:
 
 
 def oracle_is_nash(instance: GameInstance, profile: StrategyProfile) -> bool:
-    """Full deviation scan recomputed from scratch via agent_cost."""
+    """Full deviation scan recomputed from scratch via oracle_agent_cost."""
     for agent in range(instance.n):
-        current = agent_cost(instance, profile, agent)
+        current = oracle_agent_cost(instance, profile, agent)
         s, t = instance.terminals[agent]
         for path in oracle_paths(instance.graph, s, t):
             rival = profile.replace(agent, path)
-            if agent_cost(instance, rival, agent) < current:
+            if oracle_agent_cost(instance, rival, agent) < current:
                 return False
     return True
 
@@ -100,12 +100,13 @@ def oracle_best_response(
 def oracle_first_improvement(
     instance: GameInstance, profile: StrategyProfile, agent: int
 ) -> Deviation | None:
-    """The first path of the agent, in oracle_paths order, whose agent_cost in
-    the replaced profile is strictly below the current cost."""
-    current = agent_cost(instance, profile, agent)
+    """The first path of the agent, in oracle_paths order, whose
+    oracle_agent_cost in the replaced profile is strictly below the current
+    cost."""
+    current = oracle_agent_cost(instance, profile, agent)
     s, t = instance.terminals[agent]
     for path in oracle_paths(instance.graph, s, t):
-        cost = agent_cost(instance, profile.replace(agent, path), agent)
+        cost = oracle_agent_cost(instance, profile.replace(agent, path), agent)
         if cost < current:
             return Deviation(agent, profile.paths[agent], path, current, cost)
     return None

@@ -37,14 +37,21 @@ def test_gen_fig3_table(capsys):
 
 
 def test_gen_rejects_bad_parameters(capsys):
-    # a negative depth would never reach a leaf level, so the tree could grow without bound
+    # a negative depth would never reach a leaf level, and the tree grows about
+    # 1.4x per level (seed 0 at depth 40 draws 3.2 million edges), so the depth
+    # lies in 0..16, where a tree has at most 2**17 - 1 nodes
     for argv in (
         ("fig2", "--x", "1", "--y", "1"),
         ("random-sp", "--seed", "1", "--n", "2", "--max-depth", "-1"),
+        ("random-sp", "--seed", "0", "--n", "2", "--max-depth", "17"),
     ):
+        started = time.perf_counter()
         code, _, err = run_cli(capsys, "gen", *argv)
         assert code == 2
         assert "error" in err
+        assert time.perf_counter() - started < 1
+    code, _, err = run_cli(capsys, "gen", "random-sp", "--seed", "0", "--n", "2", "--max-depth", "16")
+    assert "max_depth" not in err
 
 
 def test_gen_rejects_malformed_rational(capsys):

@@ -7,6 +7,7 @@ import pytest
 from csglab.errors import (
     InfeasibleGame,
     InfeasibleProfile,
+    InternalAssertion,
     MalformedProfile,
     NotSeriesParallel,
     ParameterViolation,
@@ -28,8 +29,6 @@ from csglab.game import (
 )
 from csglab.graphs import make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_sp, two_link
-from csglab.rational import INFINITY
-
 from helpers import oracle_feasible_profiles, oracle_is_nash, oracle_potential
 
 
@@ -121,11 +120,15 @@ def test_agent_cost_single_agent_pays_base_cost():
     assert agent_cost(inst, profile, 0) == Fraction(7, 3)
 
 
-def test_agent_cost_overload_is_infinite():
+def test_cost_views_refuse_an_overload():
     inst, crowded = crowded_unit_links()
-    assert agent_cost(inst, crowded, 0) is INFINITY
-    assert sum_cost(inst, crowded) is INFINITY
-    assert max_cost(inst, crowded) is INFINITY
+    for view in (
+        lambda: agent_cost(inst, crowded, 0),
+        lambda: sum_cost(inst, crowded),
+        lambda: max_cost(inst, crowded),
+    ):
+        with pytest.raises(InfeasibleProfile, match="^edge 0 loaded 2 over capacity 1$"):
+            view()
     assert not is_feasible(inst, crowded)
 
 
@@ -135,8 +138,9 @@ def test_cost_kernel_puts_one_more_agent_on_the_added_path():
     alone = (5 * inst.scale, 5 * inst.scale)
     assert _scaled_costs(inst, head.loads, head.paths) == alone
     assert _scaled_costs(inst, head.loads, head.paths, (1,)) == alone
-    # only the added agent overloads link 0
-    assert _scaled_costs(inst, head.loads, head.paths, (0,)) is None
+    # only the added agent overloads link 0, and no caller passes an overload
+    with pytest.raises(InternalAssertion, match="cost kernel met edge 0 loaded 2 over capacity 1"):
+        _scaled_costs(inst, head.loads, head.paths, (0,))
 
 
 def test_sum_and_max_cost_crossed_dag():
@@ -212,15 +216,14 @@ def test_ordinary_fair_split_sums_to_base_costs():
 def test_is_nash_crossing_profile():
     inst = crossed_dag(1, 2)
     locked = inst.profile(((0, 3, 5), (1, 4, 6)))
-    assert is_nash(inst, locked)
+    assert is_nash(inst, locked) is True
 
 
-def test_is_nash_witness_on_wide_edge_profile():
+def test_best_response_on_wide_edge_profile():
     inst = overhead_parallel(4, EPS)
     crowded = inst.profile(((4,), (4,), (4,), (4,)))
-    result = is_nash(inst, crowded)
-    assert not result
-    witness = result.witness
+    assert is_nash(inst, crowded) is False
+    witness = best_response(inst, crowded, 0)
     assert witness.agent == 0
     assert witness.new_path == (0,)
     assert witness.old_cost == (1 + EPS) / 4
@@ -236,7 +239,7 @@ def test_is_nash_agrees_with_oracle():
     for seed in range(10):
         inst = random_sp(seed + 600, 2, scheme_family="mixed")
         for profile in oracle_feasible_profiles(inst)[:30]:
-            assert bool(is_nash(inst, profile)) == oracle_is_nash(inst, profile)
+            assert is_nash(inst, profile) == oracle_is_nash(inst, profile)
 
 
 def test_is_nash_requires_feasible_profile():
@@ -272,19 +275,6 @@ def test_is_nash_scans_each_path_class_once(monkeypatch):
         assert is_nash(inst, profile)
         assert rules == ["first_improving"] * len(set(profile.paths))
         assert len(rules) <= 2
-
-
-def test_unread_witness_runs_no_best_scan(monkeypatch):
-    inst = two_link(9)
-    # agent 3 is alone on the expensive edge and can improve
-    mixed = inst.profile(((0,),) * 3 + ((1,),) + ((0,),) * 5)
-    rules = count_scans(monkeypatch)
-    result = is_nash(inst, mixed)
-    assert not result
-    assert rules == ["first_improving", "first_improving"]
-    assert result.witness.agent == 3 and result.witness.new_path == (0,)
-    assert result.witness is result.witness
-    assert rules == ["first_improving", "first_improving", "best"]
 
 
 def test_equilibrium_leaves_every_best_response_unchanged():
@@ -335,32 +325,52 @@ def test_extension_fresh_path_case():
 # --- the scaled tables stop at load n -------------------------------------------
 
 
+def entry_points(inst, profile):
+    """Every public function that takes a profile, each called on ``profile``."""
+    from csglab.dynamics import low_max_cost_equilibrium, run_dynamics
+
+    last = len(profile) - 1
+    return (
+        lambda: agent_cost(inst, profile, 0),
+        lambda: agent_cost(inst, profile, last),
+        lambda: sum_cost(inst, profile),
+        lambda: max_cost(inst, profile),
+        lambda: potential(inst, profile),
+        lambda: best_response(inst, profile, 0),
+        lambda: best_response(inst, profile, last),
+        lambda: is_nash(inst, profile),
+        lambda: run_dynamics(inst, profile),
+        lambda: low_max_cost_equilibrium(inst, profile),
+        lambda: feasible_extension(inst, profile, StrategyProfile(())),
+    )
+
+
 def test_costs_reject_a_profile_with_more_paths_than_agents():
     # capacity 3 admits load 2, but with one agent the tables stop at load 1
     one_edge = single_edge_instance(cost=6, capacity=3, agents=1)
     # link 0 (capacity 1) is overloaded as well, in either path order
     graph = make_graph(["s", "t"], [(0, "s", "t"), (1, "s", "t")], "s", "t")
     two_links = make_instance(graph, {0: make_ordinary_scheme(6, 1), 1: make_ordinary_scheme(6, 3)}, 1)
+    # three links (costs 1, 5, 1; capacities 1, 2, 1) and three agents, two on
+    # link 0: agent 0, alone on link 1, has a cheaper move, and still no
+    # entry point answers anything about the profile
+    graph = make_graph(["s", "t"], [(0, "s", "t"), (1, "s", "t"), (2, "s", "t")], "s", "t")
+    links = make_instance(graph, {e: make_ordinary_scheme(c, k) for e, c, k in ((0, 1, 1), (1, 5, 2), (2, 1, 1))}, 3)
+    overloaded = (InfeasibleProfile, "edge 0 loaded 2 over capacity 1")
     cases = [
-        (one_edge, ((0,), (0,))),
-        (two_links, ((0,), (0,), (1,), (1,))),
-        (two_links, ((1,), (1,), (0,), (0,))),
+        (one_edge, ((0,), (0,)), (MalformedProfile, "profile has 2 paths but the instance has 1 agents")),
+        (two_links, ((0,), (0,), (1,), (1,)), (MalformedProfile, "profile has 4 paths but the instance has 1 agents")),
+        (two_links, ((1,), (1,), (0,), (0,)), (MalformedProfile, "profile has 4 paths but the instance has 1 agents")),
+        (links, ((1,), (0,), (0,)), overloaded),
+        (links, ((0,), (0,), (2,)), overloaded),
     ]
-    for inst, paths in cases:
-        crowded = StrategyProfile(paths)
-        last = len(paths) - 1
-        message = f"profile has {len(paths)} paths but the instance has 1 agents"
-        for evaluate in (
-            lambda: agent_cost(inst, crowded, 0),
-            lambda: agent_cost(inst, crowded, last),
-            lambda: sum_cost(inst, crowded),
-            lambda: max_cost(inst, crowded),
-            lambda: potential(inst, crowded),
-            lambda: best_response(inst, crowded, 0),
-            lambda: is_nash(inst, crowded),
-        ):
-            with pytest.raises(MalformedProfile, match=message):
+    for inst, paths, (error, message) in cases:
+        for evaluate in entry_points(inst, StrategyProfile(paths)):
+            with pytest.raises(error, match=f"^{message}$"):
                 evaluate()
+    # an overloaded small profile is refused as well
+    with pytest.raises(InfeasibleProfile, match=f"^{overloaded[1]}$"):
+        feasible_extension(links, links.profile(((0,), (1,), (2,))), StrategyProfile(((0,), (0,))))
 
 
 def test_is_nash_rejects_paths_on_an_agentless_instance():
@@ -395,7 +405,7 @@ def test_every_enumeration_of_an_agents_paths_uses_the_instance_cap():
     inst = chain_of_pairs(stages, cap=20000)
     cheap = tuple(range(0, 2 * stages, 2))
     dear = inst.profile((tuple(range(1, 2 * stages, 2)),))
-    assert is_nash(inst, dear).agent == 0
+    assert is_nash(inst, dear) is False
     assert best_response(inst, dear, 0).new_path == cheap
     trace = run_dynamics(inst, dear)
     assert trace.step_count == 1 and trace.terminal.paths == (cheap,)

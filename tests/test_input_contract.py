@@ -222,6 +222,9 @@ def back_edge(doc):
         pytest.param(
             back_edge, ["dynamics"], [[0, 2, 0], [0]], "path revisits node 's'", id="start-path-revisits",
         ),
+        pytest.param(
+            edit_edge(capacity=1), ["dynamics"], [[0], [0]], "edge 0 loaded 2 over capacity 1", id="overloaded-start",
+        ),
     ],
 )
 def test_contract_exits(tmp_path, capsys, edit, argv, start, message):

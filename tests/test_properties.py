@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from csglab.analysis import compute_ratios
-from csglab.errors import MalformedProfile
+from csglab.errors import InfeasibleProfile, InternalAssertion, MalformedProfile
 from csglab.flows import decompose_unit_paths, max_flow
 from csglab.game import (
     CostSharingScheme,
@@ -42,7 +42,7 @@ from csglab.graphs import (
     make_graph,
 )
 from csglab.instances import random_asymmetric, random_sp, two_link
-from csglab.rational import INFINITY, format_rational, parse_rational
+from csglab.rational import format_rational, parse_rational
 
 from helpers import (
     oracle_agent_cost,
@@ -382,30 +382,34 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
     )
     for paths_chosen in profiles:
         profile = StrategyProfile(paths_chosen)
+        with pytest.raises(MalformedProfile, match=f"profile has {agents + 1} paths"):
+            sum_cost(inst, StrategyProfile(profile.paths + (paths[0],)))
+        # the head, every agent but the last, costed with one more agent on a
+        # path Q, against the materialized head + Q; an overload is a bug
+        head = StrategyProfile(paths_chosen[:-1])
+        for last in paths:
+            materialized = StrategyProfile(head.paths + (last,))
+            if not is_feasible(inst, materialized):
+                with pytest.raises(InternalAssertion, match="cost kernel met edge"):
+                    _scaled_costs(inst, head.loads, head.paths, last)
+                continue
+            costs = [oracle_agent_cost(inst, materialized, j) for j in range(agents - 1)]
+            expected_head = (sum(costs) * inst.scale, max(costs, default=0) * inst.scale)
+            assert _scaled_costs(inst, head.loads, head.paths, last) == expected_head
+        if not is_feasible(inst, profile):
+            for view in (lambda: agent_cost(inst, profile, 0), lambda: sum_cost(inst, profile)):
+                with pytest.raises(InfeasibleProfile, match="loaded .* over capacity"):
+                    view()
+            continue
         for agent in range(agents):
             cost = agent_cost(inst, profile, agent)
             assert cost == oracle_agent_cost(inst, profile, agent)
-            assert cost is INFINITY or type(cost) is Fraction
+            assert type(cost) is Fraction
         # sampled paths repeat one object; copies are equal but distinct tuples
         copied = StrategyProfile(tuple(tuple(list(path)) for path in paths_chosen))
         expected_costs = oracle_social_costs(inst, profile)
         for social in (profile, copied):
             assert (sum_cost(inst, social), max_cost(inst, social)) == expected_costs
-        # the head, every agent but the last, costed with one more agent on a
-        # path Q, against the materialized head + Q; Q alone may overload
-        head = StrategyProfile(paths_chosen[:-1])
-        for last in paths:
-            materialized = StrategyProfile(head.paths + (last,))
-            costs = [oracle_agent_cost(inst, materialized, j) for j in range(agents - 1)]
-            if INFINITY in costs:
-                expected_head = None
-            else:
-                expected_head = (sum(costs) * inst.scale, max(costs, default=0) * inst.scale)
-            assert _scaled_costs(inst, head.loads, head.paths, last) == expected_head
-        with pytest.raises(MalformedProfile, match=f"profile has {agents + 1} paths"):
-            sum_cost(inst, StrategyProfile(profile.paths + (paths[0],)))
-        if not is_feasible(inst, profile):
-            continue
         assert potential(inst, profile) == oracle_potential(inst, profile)
         moves = [best_response(inst, profile, agent) for agent in range(agents)]
         expected = [oracle_best_response(inst, profile, agent) for agent in range(agents)]
@@ -413,9 +417,7 @@ def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
         for move in moves:
             if move is not None:
                 assert type(move.old_cost) is Fraction and type(move.new_cost) is Fraction
-        verdict = is_nash(inst, profile)
-        assert bool(verdict) == all(move is None for move in expected)
-        assert verdict.witness == next((m for m in expected if m is not None), None)
+        assert is_nash(inst, profile) is all(move is None for move in expected)
 
 
 # --- the equilibrium test against a per-agent brute force -----------------------
@@ -486,12 +488,9 @@ def test_is_nash_matches_a_per_agent_brute_force(game):
     inst, profiles = game
     for profile in profiles:
         moves = [oracle_best_response(inst, profile, agent) for agent in range(inst.n)]
-        first = next((move for move in moves if move is not None), None)
-        verdict = is_nash(inst, profile)
-        assert bool(verdict) == (first is None)
-        # the lowest-index improving agent and its cheapest move
-        assert verdict.witness == first
-        assert (verdict.witness is None) == bool(verdict)
+        assert is_nash(inst, profile) is all(move is None for move in moves)
+        # each agent's cheapest move, which explains a refusal
+        assert [best_response(inst, profile, agent) for agent in range(inst.n)] == moves
         # the first strictly cheaper path in path order, with both costs
         for agent in range(inst.n):
             move = _improving_move(inst, profile, agent, "first_improving")

@@ -1,7 +1,8 @@
 """Rules on the package source: searches stay iterative, no helper or
 parameter is dead, no module imports dataclasses, only game reads the
-scaled share tables, no IndexError is caught and no type test goes through
-a typing alias."""
+scaled share tables, only game's profile gate refuses an infeasible
+profile, no IndexError is caught and no type test goes through a typing
+alias."""
 
 import ast
 from pathlib import Path
@@ -252,6 +253,60 @@ def test_only_game_reads_the_scaled_tables():
         for table, line in scaled_table_reads(ast.parse(path.read_text()))
     ]
     assert found == [], "scaled tables read outside game (price through game._prices): " + ", ".join(found)
+
+
+def profile_refusals(tree):
+    """(function, line) of every raise of InfeasibleProfile, in line order.
+
+    The function is the innermost one around the raise, None at module
+    level. ``game._loads`` is the one gate: every function that takes a
+    profile reads its loads through it.
+    """
+    found = []
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            error = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if bare_name(error) == "InfeasibleProfile":
+                found.append((function, node.lineno))
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_rule_catches_infeasible_profile_refusals():
+    source = """
+from . import errors
+from .errors import InfeasibleGame, InfeasibleProfile
+
+def _loads(instance, profile):
+    raise InfeasibleProfile("edge 0 loaded 2 over capacity 1")
+
+def potential(instance, profile):
+    def check():
+        raise errors.InfeasibleProfile("overloaded")
+    raise InfeasibleProfile
+
+def fine(instance):
+    raise InfeasibleGame("no feasible strategy profile exists")
+
+raise InfeasibleProfile("at import")
+"""
+    assert profile_refusals(ast.parse(source)) == [("_loads", 6), ("check", 10), ("potential", 11), (None, 16)]
+
+
+def test_only_the_profile_gate_refuses_an_infeasible_profile():
+    found = {
+        (path.name, function, line)
+        for path in SOURCES
+        for function, line in profile_refusals(ast.parse(path.read_text()))
+    }
+    gate = {item for item in found if item[:2] == ("game.py", "_loads")}
+    assert gate, "game._loads no longer refuses an infeasible profile"
+    others = sorted(f"{name}:{line} {function}" for name, function, line in found - gate)
+    assert others == [], "InfeasibleProfile raised outside game._loads: " + ", ".join(others)
 
 
 def unread_parameters(tree):

@@ -9,19 +9,13 @@ import pytest
 
 from csglab.dynamics import DeviationPolicy
 from csglab.errors import ParameterViolation
-from csglab.game import GameInstance, NashResult, StrategyProfile, is_nash
+from csglab.game import StrategyProfile
 from csglab.graphs import EdgeLeaf, Parallel, Series, make_graph
 from csglab.instances import InstanceRecipe, two_link
 
 
 def graph():
     return make_graph(["s", "a", "t"], [(0, "s", "a"), (1, "a", "t"), (2, "s", "t")], "s", "t")
-
-
-def split():
-    """two_link(2) with agent 0 alone on the costly edge: it can improve."""
-    instance = two_link(2)
-    return instance, instance.profile([[1], [0]])
 
 
 # (build, fields the repr shows); build() gives a new value equal to the last
@@ -35,12 +29,8 @@ VALUES = {
     "InstanceRecipe": (lambda: InstanceRecipe("fig3", {"n": 4, "eps": Fraction(1, 100)}), ("kind", "params")),
 }
 INSTANCE = two_link(2)
-NASH = is_nash(*split())
-SAMPLES = [build() for build, _ in VALUES.values()] + [INSTANCE, NASH]
-REPR_FIELDS = [fields for _, fields in VALUES.values()] + [
-    ("graph", "schemes", "terminals", "cap"),
-    ("profile", "agent"),  # the instance is left out
-]
+SAMPLES = [build() for build, _ in VALUES.values()] + [INSTANCE]
+REPR_FIELDS = [fields for _, fields in VALUES.values()] + [("graph", "schemes", "terminals", "cap")]
 NAMES = [type(value).__name__ for value in SAMPLES]
 
 
@@ -107,15 +97,6 @@ def test_each_game_instance_caches_its_own_paths():
     assert other.agent_paths(0) == paths and other.agent_paths(0) is not paths
 
 
-def test_nash_results_compare_instance_profile_and_agent():
-    instance, profile = split()
-    first, second = is_nash(instance, profile), is_nash(instance, profile)
-    assert first == second and hash(first) == hash(second)
-    assert first != is_nash(two_link(2), profile)
-    assert first != NashResult(instance, profile, None)
-    assert not first and first.agent == 0
-
-
 def test_deviation_policy_checks_ordering_and_rule():
     with pytest.raises(ParameterViolation, match="ordering"):
         DeviationPolicy("sideways")
@@ -128,11 +109,10 @@ CACHED = [
     (graph, ("edge_map", "edges_by_id", "outgoing", "incoming")),
     (lambda: StrategyProfile(((0, 1), (2,), (0, 1))), ("loads",)),
     (lambda: two_link(3), ("symmetric", "capacities", "scale", "scaled_shares", "scaled_prefix")),
-    (lambda: is_nash(*split()), ("witness",)),
 ]
 
 
-@pytest.mark.parametrize("build, names", CACHED, ids=["Graph", "StrategyProfile", "GameInstance", "NashResult"])
+@pytest.mark.parametrize("build, names", CACHED, ids=["Graph", "StrategyProfile", "GameInstance"])
 def test_cached_properties_are_computed_once_and_stored(build, names):
     value = build()
     for name in names:
