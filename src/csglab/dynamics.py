@@ -25,6 +25,7 @@ from .game import (
     GameInstance,
     StrategyProfile,
     _improving_move,
+    _loads,
     _scaled_potential,
     agent_cost,
     best_response,
@@ -105,7 +106,9 @@ def run_dynamics(
 
     profile = start
     scale = instance.scale
-    pot = _scaled_potential(instance, profile)
+    # each visited profile is gated once; its loads feed the potential and the scans
+    loads = _loads(instance, profile)
+    pot = _scaled_potential(instance, loads)
     initial_potential = Fraction(pot, scale)
     steps: list[DynamicsStep] = []
 
@@ -116,15 +119,16 @@ def run_dynamics(
             order = rng.sample(range(n), n)
         moved = False
         for agent in order:
-            move = _improving_move(instance, profile, agent, policy.rule)
+            old_path = profile.paths[agent]
+            move = _improving_move(instance, loads, old_path, agent, policy.rule)
             if move is None:
                 continue
             if len(steps) >= step_cap:
                 raise StepCapExceeded(f"dynamics exceeded {step_cap} steps")
             new_path, old_cost, new_cost = move
-            old_path = profile.paths[agent]
             profile = profile.replace(agent, new_path)
-            new_pot = _scaled_potential(instance, profile)
+            loads = _loads(instance, profile)
+            new_pot = _scaled_potential(instance, loads)
             if new_pot - pot != new_cost - old_cost:
                 raise InternalAssertion(
                     f"potential change {Fraction(new_pot - pot, scale)}"

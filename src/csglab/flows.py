@@ -7,7 +7,7 @@ max-flow results and augmenting paths deterministic.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InfeasibleFlow, InternalAssertion, ParameterViolation
 from .graphs import EdgePath, Graph, NodeId, first_path
@@ -59,18 +59,14 @@ def _residual_search(
 ) -> tuple[ResidualArc, ...] | None:
     """Depth-first residual path, exploring arcs by lowest edge id first."""
 
-    def arcs(node: NodeId) -> list[tuple[ResidualArc, NodeId]]:
-        forward = [
-            (e.id, True, e.head)
-            for e in graph.outgoing.get(node, ())
-            if values.get(e.id, 0) < capacities.get(e.id, 0)
-        ]
-        backward = [
-            (e.id, False, e.tail)
-            for e in graph.incoming.get(node, ())
-            if values.get(e.id, 0) > 0
-        ]
-        return [(ResidualArc(eid, fwd), nxt) for eid, fwd, nxt in sorted(forward + backward)]
+    def arcs(node: NodeId) -> Iterator[tuple[ResidualArc, NodeId]]:
+        # ids are unique and self-loops rejected, so Edge tuples sort by id
+        for e in sorted(graph.outgoing[node] + graph.incoming[node]):
+            if e.tail == node:
+                if values.get(e.id, 0) < capacities.get(e.id, 0):
+                    yield ResidualArc(e.id, True), e.head
+            elif values.get(e.id, 0) > 0:
+                yield ResidualArc(e.id, False), e.tail
 
     return first_path(graph.source, graph.sink, arcs)
 
@@ -83,13 +79,11 @@ def augmenting_path(
     return _residual_search(graph, capacities, flow.values)
 
 
-def apply_augmentation(
-    values: Mapping[int, int], arcs: tuple[ResidualArc, ...], amount: int = 1
-) -> dict[int, int]:
+def apply_augmentation(values: Mapping[int, int], arcs: tuple[ResidualArc, ...]) -> dict[int, int]:
+    """A copy of ``values`` with one more unit along ``arcs``."""
     updated = dict(values)
     for arc in arcs:
-        delta = amount if arc.forward else -amount
-        updated[arc.edge_id] = updated.get(arc.edge_id, 0) + delta
+        updated[arc.edge_id] = updated.get(arc.edge_id, 0) + (1 if arc.forward else -1)
     return updated
 
 
@@ -106,7 +100,8 @@ def max_flow(graph: Graph, capacities: Mapping[int, int]) -> Flow:
             capacities.get(a.edge_id, 0) - values[a.edge_id] if a.forward else values[a.edge_id]
             for a in arcs
         )
-        values = apply_augmentation(values, arcs, bottleneck)
+        for a in arcs:
+            values[a.edge_id] += bottleneck if a.forward else -bottleneck
         value += bottleneck
 
 
@@ -120,12 +115,12 @@ def decompose_unit_paths(graph: Graph, values: Mapping[int, int]) -> tuple[EdgeP
     src, dst = graph.source, graph.sink
     work = {e.id: values.get(e.id, 0) for e in graph.edges_by_id}
 
-    def carrying(node: NodeId) -> list[tuple[int, NodeId]]:
-        return [(e.id, e.head) for e in graph.outgoing.get(node, ()) if work[e.id] > 0]
+    def carrying(node: NodeId) -> Iterator[tuple[int, NodeId]]:
+        for e in graph.outgoing[node]:
+            if work[e.id] > 0:
+                yield e.id, e.head
 
-    remaining = sum(work[e.id] for e in graph.outgoing.get(src, ())) - sum(
-        work[e.id] for e in graph.incoming.get(src, ())
-    )
+    remaining = sum(work[e.id] for e in graph.outgoing[src]) - sum(work[e.id] for e in graph.incoming[src])
     paths: list[EdgePath] = []
     for _ in range(remaining):
         path = first_path(src, dst, carrying)

@@ -472,10 +472,10 @@ def max_cost(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     return Fraction(_scaled_costs(instance, _loads(instance, profile), profile.paths)[1], instance.scale)
 
 
-def _scaled_potential(instance: GameInstance, profile: StrategyProfile) -> int:
-    """scale * the potential."""
+def _scaled_potential(instance: GameInstance, loads: Mapping[int, int]) -> int:
+    """scale * the potential of a profile with feasible ``loads``."""
     prefix = instance.scaled_prefix
-    return sum(prefix[e][load] for e, load in _loads(instance, profile).items())
+    return sum(prefix[e][load] for e, load in loads.items())
 
 
 def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
@@ -484,7 +484,7 @@ def potential(instance: GameInstance, profile: StrategyProfile) -> Fraction:
     A unilateral deviation changes this quantity by exactly the deviating
     agent's cost change, which is what makes best-response dynamics converge.
     """
-    return Fraction(_scaled_potential(instance, profile), instance.scale)
+    return Fraction(_scaled_potential(instance, _loads(instance, profile)), instance.scale)
 
 
 def _prices(
@@ -516,21 +516,16 @@ def _prices(
 
 
 def _improving_move(
-    instance: GameInstance,
-    profile: StrategyProfile,
-    agent: int,
-    rule: str,
+    instance: GameInstance, loads: Mapping[int, int], held: EdgePath, agent: int, rule: str
 ) -> tuple[EdgePath, int, int] | None:
     """Scan the agent's paths in lexicographic order for a strict improvement.
 
     The current cost comes from ``_scaled_costs``, and every path, the held
-    one included, is priced against the profile's loads minus the held path;
+    one included, is priced against the gated ``loads`` minus the held path;
     a running best below the current cost keeps the strictly cheaper ones.
     "best" takes the first of the cheapest, "first_improving" the first.
     Returns the winner with the current and new cost, both times ``scale``.
     """
-    held = profile.paths[agent]
-    loads = _loads(instance, profile)
     current = bound = _scaled_costs(instance, loads, (held,))[0]
     best = None
     options = instance.agent_paths(agent)
@@ -550,7 +545,7 @@ def best_response(
     The agent's current path is always available, so a feasible profile can
     never leave an agent without options; ties favour staying put.
     """
-    move = _improving_move(instance, profile, agent, "best")
+    move = _improving_move(instance, _loads(instance, profile), profile.paths[agent], agent, "best")
     if move is None:
         return None
     new_path, old_cost, new_cost = move
@@ -568,11 +563,13 @@ def is_nash(instance: GameInstance, profile: StrategyProfile) -> bool:
     at its first strict improvement. ``best_response`` gives an improving
     agent's cheapest move.
     """
-    _loads(instance, profile)  # also rejects the extra paths that zip below would drop
+    loads = _loads(instance, profile)  # also rejects the extra paths that zip below would drop
     first: dict = {}
     for agent, key in enumerate(zip(instance.terminals, profile.paths)):
         first.setdefault(key, agent)
-    return all(_improving_move(instance, profile, agent, "first_improving") is None for agent in first.values())
+    return all(
+        _improving_move(instance, loads, held, agent, "first_improving") is None for (_, held), agent in first.items()
+    )
 
 
 # --- feasible path extension (series-parallel) --------------------------------

@@ -17,6 +17,7 @@ from .game import (
     SCHEME_FAMILIES,
     GameInstance,
     CostSharingScheme,
+    StrategyProfile,
     is_nash,
     make_instance,
     make_ordinary_scheme,
@@ -269,11 +270,7 @@ def random_asymmetric(
             continue
 
         capacities = {e.id: rng.randint(1, 2) for e in graph.edges_by_id}
-        loads: dict[int, int] = {}
-        for path in pick:
-            for edge_id in path:
-                loads[edge_id] = loads.get(edge_id, 0) + 1
-        for edge_id, load in loads.items():
+        for edge_id, load in StrategyProfile(tuple(pick)).loads.items():
             capacities[edge_id] = max(capacities[edge_id], load)
 
         schemes = {

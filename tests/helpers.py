@@ -152,3 +152,51 @@ def oracle_extension_paths(
         if set(path) <= big.loads.keys()
         and all(small_loads.get(e, 0) + 1 <= caps[e] for e in path)
     ]
+
+
+def oracle_residual_path(graph: Graph, capacities, values) -> tuple[tuple[int, bool], ...] | None:
+    """Recursive depth-first residual search that lists and sorts each node's
+    residual arcs, forward ones below capacity and backward ones carrying
+    flow, and enters every node at most once. Arcs are (edge id, forward)."""
+    entered = {graph.source}
+
+    def explore(node):
+        arcs = sorted(
+            [(e.id, True, e.head) for e in graph.edges if e.tail == node and values.get(e.id, 0) < capacities.get(e.id, 0)]
+            + [(e.id, False, e.tail) for e in graph.edges if e.head == node and values.get(e.id, 0) > 0]
+        )
+        for edge_id, forward, nxt in arcs:
+            if nxt == graph.sink:
+                return ((edge_id, forward),)
+            if nxt not in entered:
+                entered.add(nxt)
+                rest = explore(nxt)
+                if rest is not None:
+                    return ((edge_id, forward),) + rest
+        return None
+
+    return explore(graph.source)
+
+
+def oracle_augment(graph: Graph, capacities, values: dict[int, int]) -> tuple[dict[int, int], int] | None:
+    """A copy of ``values`` pushed by the bottleneck along oracle_residual_path,
+    with that bottleneck, or None when no residual path is left."""
+    arcs = oracle_residual_path(graph, capacities, values)
+    if arcs is None:
+        return None
+    bottleneck = min(
+        capacities.get(edge_id, 0) - values.get(edge_id, 0) if forward else values.get(edge_id, 0)
+        for edge_id, forward in arcs
+    )
+    updated = dict(values)
+    for edge_id, forward in arcs:
+        updated[edge_id] = updated.get(edge_id, 0) + (bottleneck if forward else -bottleneck)
+    return updated, bottleneck
+
+
+def oracle_max_flow(graph: Graph, capacities) -> tuple[dict[int, int], int]:
+    """Per-edge values and value of repeated oracle_augment from zero flow."""
+    values, value = {e.id: 0 for e in graph.edges}, 0
+    while (step := oracle_augment(graph, capacities, values)) is not None:
+        values, value = step[0], value + step[1]
+    return values, value

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from csglab import flows
 from csglab.errors import InfeasibleFlow
 from csglab.flows import (
     Flow,
@@ -14,7 +16,13 @@ from csglab.flows import (
 from csglab.graphs import make_graph
 from csglab.instances import crossed_dag, random_sp
 
-from helpers import oracle_max_disjoint_path_count
+from helpers import (
+    oracle_augment,
+    oracle_max_disjoint_path_count,
+    oracle_max_flow,
+    oracle_paths,
+    oracle_residual_path,
+)
 
 
 def single_edge():
@@ -165,3 +173,70 @@ def test_augmenting_path_in_profile_union_network():
                 assert reference.loads.get(arc.edge_id, 0) > 0
             else:
                 assert partial_loads.get(arc.edge_id, 0) > 0
+
+
+def test_max_flow_builds_only_the_residual_arcs_it_tries(monkeypatch):
+    # fig3's shape: n unit links and one wide link; every augmentation takes
+    # the first unsaturated source arc, so a lazy search builds one arc each
+    made = []
+
+    class Counted(ResidualArc):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            made.append(fields)
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(flows, "ResidualArc", Counted)
+    n = 2000
+    g = make_graph(["s", "t"], [(i, "s", "t") for i in range(n + 1)], "s", "t")
+    caps = {i: 1 for i in range(n)} | {n: n}
+    assert max_flow(g, caps).value == 2 * n
+    # listing every residual arc of the source at each of the n + 1
+    # augmentations built (n + 1)(n + 2) / 2 = 2,003,001
+    assert len(made) <= 2 * n + 1
+
+
+@st.composite
+def flow_networks(draw):
+    """A digraph of 2-6 nodes with parallel arcs and cycles, shuffled edge
+    ids, capacities 0-3 and a source and sink drawn among its nodes."""
+    count = draw(st.integers(2, 6))
+    source, sink = draw(st.lists(st.integers(0, count - 1), min_size=2, max_size=2, unique=True))
+    ends = draw(
+        st.lists(
+            st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)).filter(lambda arc: arc[0] != arc[1]),
+            max_size=12,
+        )
+    )
+    ids = draw(st.permutations(range(2 * len(ends))))[: len(ends)]
+    graph = make_graph(range(count), [(i, u, v) for i, (u, v) in zip(ids, ends)], source, sink)
+    capacities = {i: draw(st.integers(0, 3)) for i in ids}
+    return graph, capacities
+
+
+@settings(max_examples=300, deadline=None)
+@given(flow_networks(), st.integers(0, 4), st.data())
+def test_flow_searches_match_the_list_and_sort_oracle(network, k, data):
+    graph, caps = network
+    assert max_flow(graph, caps) == Flow(*oracle_max_flow(graph, caps))
+    # the residual search on a flow reached by k oracle augmentations, with
+    # up to three unit cycles on top: the circulating units put backward
+    # arcs in front of the search, where augmentations alone rarely do
+    values, value = {e.id: 0 for e in graph.edges}, 0
+    for _ in range(k):
+        step = oracle_augment(graph, caps, values)
+        if step is None:
+            break
+        values, value = step[0], value + step[1]
+    for _ in range(data.draw(st.integers(0, 3)) if graph.edges else 0):
+        edge = data.draw(st.sampled_from(graph.edges))
+        returns = oracle_paths(graph, edge.head, edge.tail)
+        cycle = (edge.id, *data.draw(st.sampled_from(returns))) if returns else ()
+        if all(values[e] < caps[e] for e in cycle):
+            for e in cycle:
+                values[e] += 1
+    expected = oracle_residual_path(graph, caps, values)
+    assert augmenting_path(graph, caps, Flow(values, value)) == (
+        None if expected is None else tuple(ResidualArc(*arc) for arc in expected)
+    )

@@ -255,9 +255,9 @@ def count_scans(monkeypatch) -> list[str]:
     rules: list[str] = []
     scan = game._improving_move
 
-    def counted(instance, profile, agent, rule):
+    def counted(instance, loads, held, agent, rule):
         rules.append(rule)
-        return scan(instance, profile, agent, rule)
+        return scan(instance, loads, held, agent, rule)
 
     monkeypatch.setattr(game, "_improving_move", counted)
     return rules
@@ -275,6 +275,45 @@ def test_is_nash_scans_each_path_class_once(monkeypatch):
         assert is_nash(inst, profile)
         assert rules == ["first_improving"] * len(set(profile.paths))
         assert len(rules) <= 2
+
+
+def count_gates(monkeypatch) -> list[StrategyProfile]:
+    """Every profile the gate checks from now on, in call order."""
+    from csglab import dynamics, game
+
+    profiles: list[StrategyProfile] = []
+    gate = game._loads
+
+    def counted(instance, profile):
+        profiles.append(profile)
+        return gate(instance, profile)
+
+    monkeypatch.setattr(game, "_loads", counted)
+    # dynamics imports the gate by name, so its binding is patched too
+    monkeypatch.setattr(dynamics, "_loads", counted)
+    return profiles
+
+
+def test_is_nash_gates_its_profile_once(monkeypatch):
+    from csglab.analysis import all_nash
+
+    inst = two_link(9)
+    equilibrium = all_nash(inst).entries[0].profile
+    gated = count_gates(monkeypatch)
+    assert is_nash(inst, equilibrium)
+    assert gated == [equilibrium]
+
+
+def test_dynamics_gates_each_visited_profile_once(monkeypatch):
+    from csglab.dynamics import run_dynamics
+
+    inst = two_link(9)
+    gated = count_gates(monkeypatch)
+    trace = run_dynamics(inst, StrategyProfile(((0,),) + ((1,),) * 8))
+    assert trace.step_count > 0
+    # the start, then the profile after each step
+    assert len(gated) == trace.step_count + 1
+    assert gated[0] == trace.start and gated[-1] == trace.terminal
 
 
 def test_equilibrium_leaves_every_best_response_unchanged():

@@ -493,7 +493,7 @@ def test_is_nash_matches_a_per_agent_brute_force(game):
         assert [best_response(inst, profile, agent) for agent in range(inst.n)] == moves
         # the first strictly cheaper path in path order, with both costs
         for agent in range(inst.n):
-            move = _improving_move(inst, profile, agent, "first_improving")
+            move = _improving_move(inst, profile.loads, profile.paths[agent], agent, "first_improving")
             if move is not None:
                 path, old, new = move
                 scale = inst.scale

@@ -1,8 +1,8 @@
 """Rules on the package source: searches stay iterative, no helper or
 parameter is dead, no module imports dataclasses, only game reads the
 scaled share tables, only game's profile gate refuses an infeasible
-profile, no IndexError is caught and no type test goes through a typing
-alias."""
+profile, no IndexError is caught, no type test goes through a typing
+alias and every ``arcs`` given to ``first_path`` yields its arcs lazily."""
 
 import ast
 from pathlib import Path
@@ -475,3 +475,107 @@ def test_no_type_test_goes_through_a_typing_alias():
         for line, alias in typing_alias_checks(ast.parse(path.read_text()))
     ]
     assert found == [], "type tests against typing aliases (use collections.abc): " + ", ".join(found)
+
+
+def own_nodes(scope):
+    """The nodes of a module's or function's own body, not descending into
+    nested functions, lambdas or classes (which are yielded, not entered)."""
+    stack = list(scope.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def list_built_arcs(tree):
+    """(line, callable) of every ``arcs`` argument of ``first_path`` that is
+    not a generator function, in line order.
+
+    ``first_path`` tries arcs one at a time and stops at the sink, so an
+    ``arcs`` that builds a node's whole list builds every arc the search
+    never tries: on N parallel unit edges max-flow built (N + 1)(N + 2) / 2
+    residual arcs that way. A name resolves to the def of that name in the
+    innermost enclosing scope that has one and is reported by its dotted
+    path; a lambda or anything unresolved is reported by its source text.
+    """
+    found = []
+    stack = [(tree, (tree,))]
+    while stack:
+        node, scopes = stack.pop()
+        if isinstance(node, ast.Call) and bare_name(node.func) == "first_path":
+            keywords = [k.value for k in node.keywords if k.arg == "arcs"]
+            for arcs in node.args[2:3] + keywords:
+                named = resolve_def(arcs, scopes) if isinstance(arcs, ast.Name) else None
+                if named is None:
+                    found.append((node.lineno, ast.unparse(arcs)))
+                elif not any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(named[1])):
+                    found.append((node.lineno, named[0]))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes += (node,)
+        stack.extend((child, scopes) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def resolve_def(name, scopes):
+    """(dotted path, def) of the function ``name`` reads, looked up from the
+    innermost of ``scopes`` (a module, then the functions around the read)
+    outwards, or None when no scope defines it."""
+    for depth in range(len(scopes), 0, -1):
+        for node in own_nodes(scopes[depth - 1]):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name.id:
+                return ".".join(s.name for s in scopes[1:depth] + (node,)), node
+    return None
+
+
+def test_rule_catches_arcs_that_build_lists():
+    source = """
+from . import graphs
+from .graphs import first_path
+
+def lazy(node):
+    yield from ()
+
+def search(graph):
+    def arcs(node):
+        return [(e.id, e.head) for e in graph.outgoing[node]]
+
+    def carrying(node):
+        for e in graph.outgoing[node]:
+            yield e.id, e.head
+
+    first_path(graph.source, graph.sink, arcs)
+    first_path(graph.source, graph.sink, carrying)
+    graphs.first_path(graph.source, graph.sink, arcs=lambda node: ())
+    return first_path(graph.source, graph.sink, lazy)
+
+def outer(graph):
+    def lazy(node):
+        def inner():
+            yield node
+        return inner()
+
+    return first_path(graph.source, graph.sink, lazy), first_path(0, 1, graph.arcs)
+"""
+    assert list_built_arcs(ast.parse(source)) == [
+        (16, "search.arcs"),
+        (18, "lambda node: ()"),
+        (27, "graph.arcs"),
+        (27, "outer.lazy"),
+    ]
+
+
+def test_every_arcs_given_to_first_path_is_a_generator():
+    calls = [
+        node
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and bare_name(node.func) == "first_path"
+    ]
+    assert len(calls) >= 3, "first_path callers went missing; the rule checks nothing"
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in SOURCES
+        for line, name in list_built_arcs(ast.parse(path.read_text()))
+    ]
+    assert found == [], "arcs callables that build lists (yield each arc): " + ", ".join(found)
