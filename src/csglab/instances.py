@@ -1,7 +1,8 @@
 """Instance generators: the constructed families plus seeded random ones.
 
-The two hand-built families self-check their arithmetic on construction and
-fail loudly if the reconstruction ever drifts from the intended values.
+Of the three hand-built families, only `crossed_dag` checks its arithmetic on
+construction: it fails loudly if the reconstruction ever drifts from the
+intended values.
 Random generators are pure functions of their seed.
 """
 

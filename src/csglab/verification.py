@@ -57,6 +57,23 @@ def _row(criterion, claim, instance, bound, measured, passed) -> CheckRow:
     return CheckRow(criterion, claim, instance, str(bound), str(measured), passed)
 
 
+def _exact(criterion, claim, instance, want, got) -> CheckRow:
+    """A closed form against the measured value; passes iff they are equal."""
+    return _row(criterion, claim, instance, format_rational(want), format_rational(got), got == want)
+
+
+def _rising(criterion, claim, instance, bound, values, ceiling=None) -> CheckRow:
+    """A strict trend; passes iff ``values`` increase and stay below ``ceiling`` when one is given."""
+    steps = [*values] if ceiling is None else [*values, ceiling]
+    rising = all(a < b for a, b in zip(steps, steps[1:]))
+    return _row(criterion, claim, instance, bound, " < ".join(map(format_rational, values)), rising)
+
+
+def _violations(criterion, claim, instance, bad, complete=True) -> CheckRow:
+    """A violation count; passes iff it is zero and ``complete`` says the sample ran in full."""
+    return _row(criterion, claim, instance, "0 violations", f"{bad} violations", bad == 0 and complete)
+
+
 def _worst(samples) -> str:
     """The note of the largest ``(ratio, note)`` sample; the first of equals wins."""
     worst = max(samples, key=itemgetter(0), default=None)
@@ -97,16 +114,7 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
         rows.append(_row("C1", "crossing profile is an equilibrium [Thm1]", label, "true", is_ne, is_ne))
 
         poa_sc_formula = Fraction(4, 5) + 2 * y / (5 * x)
-        rows.append(
-            _row(
-                "C1",
-                "PoA_sc == 4/5 + 2y/5x [Thm1]",
-                label,
-                format_rational(poa_sc_formula),
-                format_rational(report.poa_sc.value),
-                report.poa_sc.value == poa_sc_formula,
-            )
-        )
+        rows.append(_exact("C1", "PoA_sc == 4/5 + 2y/5x [Thm1]", label, poa_sc_formula, report.poa_sc.value))
 
         poa_mc_formula = Fraction(2, 3) + y / (3 * x)
         worst_mc = report.equilibria.extreme(Criterion.MAX, worst=True)
@@ -131,26 +139,11 @@ def criterion_1_crossed_dag() -> list[CheckRow]:
         report = compute_ratios(crossed_dag(x, x * x))
         sc_values.append(report.poa_sc.value)
         mc_values.append(report.poa_mc.value)
-    rows.append(
-        _row(
-            "C1",
-            "PoA_sc strictly increases along y=x^2, x=2,10,100 [Thm1]",
-            "fig2(y=x^2)",
-            "increasing",
-            " < ".join(format_rational(v) for v in sc_values),
-            sc_values[0] < sc_values[1] < sc_values[2],
-        )
-    )
-    rows.append(
-        _row(
-            "C1",
-            "PoA_mc strictly increases along y=x^2, x=2,10,100 [Thm6]",
-            "fig2(y=x^2)",
-            "increasing",
-            " < ".join(format_rational(v) for v in mc_values),
-            mc_values[0] < mc_values[1] < mc_values[2],
-        )
-    )
+    for claim, values in (
+        ("PoA_sc strictly increases along y=x^2, x=2,10,100 [Thm1]", sc_values),
+        ("PoA_mc strictly increases along y=x^2, x=2,10,100 [Thm6]", mc_values),
+    ):
+        rows.append(_rising("C1", claim, "fig2(y=x^2)", "increasing", values))
     rows.append(
         _row(
             "C1",
@@ -181,41 +174,21 @@ def criterion_2_overhead_parallel() -> list[CheckRow]:
         )
 
         ne_sum = Fraction(n - 1) + Fraction(1, n)
-        measured_sum = report.equilibria.entries[0].sum_cost
-        rows.append(
-            _row(
-                "C2",
-                "equilibrium sum-cost == n - 1 + 1/n [Lem7]",
-                label,
-                format_rational(ne_sum),
-                format_rational(measured_sum),
-                measured_sum == ne_sum,
-            )
-        )
-
-        pos_formula = ne_sum / (1 + eps)
-        rows.append(
-            _row(
-                "C2",
-                "PoS_sc == (n - 1 + 1/n)/(1 + eps) [Thm8]",
-                label,
-                format_rational(pos_formula),
-                format_rational(report.pos_sc.value),
-                report.pos_sc.value == pos_formula,
-            )
-        )
+        measured_sum, pos_sc = report.equilibria.entries[0].sum_cost, report.pos_sc.value
+        rows.append(_exact("C2", "equilibrium sum-cost == n - 1 + 1/n [Lem7]", label, ne_sum, measured_sum))
+        rows.append(_exact("C2", "PoS_sc == (n - 1 + 1/n)/(1 + eps) [Thm8]", label, ne_sum / (1 + eps), pos_sc))
 
         fine_eps = Fraction(1, 10**6)
-        pos_values = (report.pos_sc.value, compute_ratios(overhead_parallel(n, fine_eps)).pos_sc.value)
+        pos_values = (pos_sc, compute_ratios(overhead_parallel(n, fine_eps)).pos_sc.value)
         limit = Fraction(n) + Fraction(1, n) - 1
         rows.append(
-            _row(
+            _rising(
                 "C2",
                 "PoS_sc rises toward n + 1/n - 1 as eps falls [Thm8]",
                 f"fig3(n={n},eps={eps} then {fine_eps})",
                 format_rational(limit),
-                " < ".join(format_rational(v) for v in pos_values),
-                pos_values[0] < pos_values[1] < limit,
+                pos_values,
+                ceiling=limit,
             )
         )
     return rows
@@ -229,9 +202,8 @@ def criterion_3_two_link() -> list[CheckRow]:
     for n in (2, 5):
         label = f"two-link(n={n})"
         report = compute_ratios(two_link(n))
-        for claim, ratio in (("PoA_sc == n [Thm5]", report.poa_sc), ("PoA_mc == n [Thm9]", report.poa_mc)):
-            value = ratio.value
-            rows.append(_row("C3", claim, label, format_rational(Fraction(n)), format_rational(value), value == n))
+        rows.append(_exact("C3", "PoA_sc == n [Thm5]", label, n, report.poa_sc.value))
+        rows.append(_exact("C3", "PoA_mc == n [Thm9]", label, n, report.poa_mc.value))
     return rows
 
 
@@ -369,29 +341,18 @@ def criterion_6_potential_identities() -> list[CheckRow]:
             run_bad += 1
 
     return [
-        _row(
-            "C6",
-            "cost_sc <= potential <= n * cost_sc",
-            f"{profile_checks} random feasible profiles",
-            "0 violations",
-            f"{sandwich_bad} violations",
-            sandwich_bad == 0,
+        _violations(
+            "C6", "cost_sc <= potential <= n * cost_sc", f"{profile_checks} random feasible profiles", sandwich_bad
         ),
-        _row(
+        _violations(
             "C6",
             "potential change equals the mover's cost change",
             f"{done} random single deviations",
-            "0 violations",
-            f"{exact_bad} violations",
-            exact_bad == 0 and done == deviation_checks,
+            exact_bad,
+            complete=done == deviation_checks,
         ),
-        _row(
-            "C6",
-            "dynamics end at an equilibrium with strictly falling potential",
-            f"{runs} seeded runs",
-            "0 violations",
-            f"{run_bad} violations",
-            run_bad == 0,
+        _violations(
+            "C6", "dynamics end at an equilibrium with strictly falling potential", f"{runs} seeded runs", run_bad
         ),
     ]
 

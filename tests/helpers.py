@@ -10,8 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 
-from csglab.game import Deviation, GameInstance, StrategyProfile
-from csglab.graphs import Graph
+from csglab.game import Deviation, GameInstance, StrategyProfile, make_instance, make_ordinary_scheme
+from csglab.graphs import Graph, make_graph
 from csglab.rational import INFINITY, Cost
 
 
@@ -200,3 +200,10 @@ def oracle_max_flow(graph: Graph, capacities) -> tuple[dict[int, int], int]:
     while (step := oracle_augment(graph, capacities, values)) is not None:
         values, value = step[0], value + step[1]
     return values, value
+
+
+def series_with_two_sinks() -> GameInstance:
+    """The series graph s -> a -> t, one agent bound for a and one for t."""
+    graph = make_graph(["s", "a", "t"], [(0, "s", "a"), (1, "a", "t")], "s", "t")
+    schemes = {0: make_ordinary_scheme(1, 2), 1: make_ordinary_scheme(1, 2)}
+    return make_instance(graph, schemes, [("s", "a"), ("s", "t")])

@@ -6,6 +6,7 @@ The criteria run at their full documented sizes through the same driver the
 
 import hashlib
 import itertools
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -68,22 +69,25 @@ def test_budget_skips_the_criteria_started_after_it_runs_out(monkeypatch):
     assert format_table(result).endswith("suite FAIL: 4/5 checks passed in 3.0s")
 
 
-# --- the bound rows read the reports' own verdicts and can fail -------------------
+# --- every row kind can fail ----------------------------------------------------------
 
 
-def plant_in_first_report(monkeypatch, change):
-    """Let ``change`` rewrite the bounds of the first report the suite computes."""
+def plant_in_report(monkeypatch, change, call=1):
+    """Let ``change`` rewrite the report of the suite's ``call``-th ``compute_ratios`` call."""
     real = verification.compute_ratios
     calls = []
 
     def planted(instance):
         report = real(instance)
         calls.append(instance)
-        if len(calls) > 1:
-            return report
-        return report._replace(bounds=tuple(change(report.bounds)))
+        return change(report) if len(calls) == call else report
 
     monkeypatch.setattr(verification, "compute_ratios", planted)
+
+
+def plant_in_first_bounds(monkeypatch, change):
+    """Let ``change`` rewrite the bounds of the first report the suite computes."""
+    plant_in_report(monkeypatch, lambda report: report._replace(bounds=tuple(change(report.bounds))))
 
 
 def verdicts(rows):
@@ -91,7 +95,7 @@ def verdicts(rows):
 
 
 def test_c4_row_fails_on_a_planted_violation(monkeypatch):
-    plant_in_first_report(
+    plant_in_first_bounds(
         monkeypatch,
         lambda bounds: [b._replace(holds=b.tag != "Thm9:PoA_mc<=n") for b in bounds],
     )
@@ -108,7 +112,7 @@ def test_c4_row_fails_on_a_planted_violation(monkeypatch):
 
 
 def test_c4_row_fails_on_a_dropped_verdict(monkeypatch):
-    plant_in_first_report(monkeypatch, lambda bounds: [b for b in bounds if b.tag != "Thm5:PoA_sc<=n"])
+    plant_in_first_bounds(monkeypatch, lambda bounds: [b for b in bounds if b.tag != "Thm5:PoA_sc<=n"])
     rows = verification.criterion_4_sp_upper_bounds(count=20)
     assert verdicts(rows) == {
         "PoA_mc<=n [Thm9]": True,
@@ -120,9 +124,63 @@ def test_c4_row_fails_on_a_dropped_verdict(monkeypatch):
 
 
 def test_c5_row_fails_on_a_planted_violation(monkeypatch):
-    plant_in_first_report(
+    plant_in_first_bounds(
         monkeypatch,
         lambda bounds: [b._replace(holds=not b.tag.startswith("Thm14:")) for b in bounds],
     )
     rows = verification.criterion_5_asymmetric(count=10)
     assert verdicts(rows) == {"PoS_sc<=n [Thm13]": True, "PoS_mc<=n^2 [Thm14]": False}
+
+
+def failures(rows):
+    return [(row.claim, row.instance) for row in rows if not row.passed]
+
+
+def set_ratio(name, value):
+    return lambda report: report._replace(**{name: getattr(report, name)._replace(value=value)})
+
+
+# C2 computes fig3(n=2) at eps = 1/1000 first, then at eps = 1/10**6; 3/2 is that
+# family's limit n + 1/n - 1, above both true PoS_sc values
+@pytest.mark.parametrize(
+    "call, failing",
+    [
+        pytest.param(
+            1,
+            [
+                ("PoS_sc == (n - 1 + 1/n)/(1 + eps) [Thm8]", "fig3(n=2,eps=1/1000)"),
+                ("PoS_sc rises toward n + 1/n - 1 as eps falls [Thm8]", "fig3(n=2,eps=1/1000 then 1/1000000)"),
+            ],
+            id="coarse-eps",
+        ),
+        pytest.param(
+            2,
+            [("PoS_sc rises toward n + 1/n - 1 as eps falls [Thm8]", "fig3(n=2,eps=1/1000 then 1/1000000)")],
+            id="fine-eps-at-the-limit",
+        ),
+    ],
+)
+def test_c2_rows_fail_on_a_planted_pos_sc(monkeypatch, call, failing):
+    plant_in_report(monkeypatch, set_ratio("pos_sc", Fraction(3, 2)), call)
+    assert failures(verification.criterion_2_overhead_parallel()) == failing
+
+
+def test_c3_row_fails_on_a_planted_ratio(monkeypatch):
+    plant_in_report(monkeypatch, set_ratio("poa_mc", Fraction(3, 2)))
+    rows = verification.criterion_3_two_link()
+    assert failures(rows) == [("PoA_mc == n [Thm9]", "two-link(n=2)")]
+    assert rows[1].measured == "3/2"
+
+
+def test_c6_rows_fail_on_a_potential_off_by_one(monkeypatch):
+    def one_load_short(instance, profile):
+        # each edge's share prefix summed to load - 1 instead of load
+        return sum(sum(instance.schemes[e].shares[: load - 1], Fraction(0)) for e, load in profile.loads.items())
+
+    monkeypatch.setattr(verification, "potential", one_load_short)
+    rows = verification.criterion_6_potential_identities()
+    assert failures(rows) == [
+        ("cost_sc <= potential <= n * cost_sc", "1000 random feasible profiles"),
+        ("potential change equals the mover's cost change", "500 random single deviations"),
+    ]
+    assert all(row.measured != "0 violations" for row in rows[:2])

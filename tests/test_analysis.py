@@ -13,7 +13,7 @@ from csglab.analysis import (
     verify_lemma_cost_bound,
 )
 from csglab.dynamics import run_dynamics
-from csglab.errors import NotSeriesParallel, PathExplosion
+from csglab.errors import NotSeriesParallel, NotSymmetric, PathExplosion
 from csglab.game import (
     StrategyProfile,
     feasible_profiles,
@@ -28,7 +28,7 @@ from csglab.game import (
 from csglab.graphs import DEFAULT_PATH_CAP, GraphClass, make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
 
-from helpers import oracle_feasible_profiles, oracle_is_nash
+from helpers import oracle_feasible_profiles, oracle_is_nash, series_with_two_sinks
 
 EPS = Fraction(1, 100)
 
@@ -418,3 +418,8 @@ def test_lemma_cost_bound_on_families():
 def test_lemma_cost_bound_rejects_non_sp():
     with pytest.raises(NotSeriesParallel):
         verify_lemma_cost_bound(compute_ratios(crossed_dag(1, 2)))
+
+
+def test_lemma_cost_bound_requires_shared_terminals():
+    with pytest.raises(NotSymmetric):
+        verify_lemma_cost_bound(compute_ratios(series_with_two_sinks()))

@@ -1,3 +1,4 @@
+import io
 import json
 import time
 from fractions import Fraction
@@ -75,6 +76,13 @@ def test_dynamics_from_max_optimum(tmp_path, capsys):
     assert doc["terminal"]["max_cost"] == "1/3"  # everyone stays on the cheap edge
 
 
+def test_gen_rejects_a_non_integer_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("CSGLAB_SEED", "abc")
+    code, _, err = run_cli(capsys, "gen", "random-sp", "--n", "2")
+    assert code == 2
+    assert "CSGLAB_SEED must be an integer" in err
+
+
 def test_gen_random_sp_uses_env_seed(capsys, monkeypatch):
     monkeypatch.setenv("CSGLAB_SEED", "42")
     code, out_env, _ = run_cli(capsys, "gen", "random-sp", "--n", "3")
@@ -133,6 +141,28 @@ def test_analyze_malformed_instance(tmp_path, capsys):
 def test_analyze_missing_file(capsys):
     code, _, err = run_cli(capsys, "analyze", "/nonexistent/inst.json")
     assert code == 2
+
+
+def test_analyze_rejects_invalid_json(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text("{")
+    code, _, err = run_cli(capsys, "analyze", str(path))
+    assert code == 2
+    assert "invalid JSON" in err
+
+
+def test_analyze_reads_the_document_from_stdin(tmp_path, capsys, monkeypatch):
+    document = canonical_json(instance_to_document(two_link(2)))
+    path = tmp_path / "inst.json"
+    path.write_text(document)
+    _, from_file, _ = run_cli(capsys, "analyze", str(path), "--no-dynamics")
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, from_stdin, _ = run_cli(capsys, "analyze", "-", "--no-dynamics")
+    assert code == 0
+    docs = [json.loads(out) for out in (from_file, from_stdin)]
+    for doc in docs:
+        doc.pop("volatile")
+    assert docs[0] == docs[1]
 
 
 def test_analyze_explosion_exit_code(tmp_path, capsys):

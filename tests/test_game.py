@@ -10,6 +10,7 @@ from csglab.errors import (
     InternalAssertion,
     MalformedProfile,
     NotSeriesParallel,
+    NotSymmetric,
     ParameterViolation,
     PathExplosion,
 )
@@ -29,7 +30,7 @@ from csglab.game import (
 )
 from csglab.graphs import make_graph
 from csglab.instances import crossed_dag, overhead_parallel, random_sp, two_link
-from helpers import oracle_feasible_profiles, oracle_is_nash, oracle_potential
+from helpers import oracle_feasible_profiles, oracle_is_nash, oracle_potential, series_with_two_sinks
 
 
 EPS = Fraction(1, 100)
@@ -343,6 +344,13 @@ def test_extension_rejects_non_sp():
     small = StrategyProfile(((0, 2, 6),))
     with pytest.raises(NotSeriesParallel):
         feasible_extension(inst, big, small)
+
+
+def test_extension_requires_shared_terminals():
+    inst = series_with_two_sinks()
+    big = inst.profile(((0,), (0, 1)))
+    with pytest.raises(NotSymmetric):
+        feasible_extension(inst, big, StrategyProfile(((0,),)))
 
 
 def test_extension_requires_fewer_small_agents():

@@ -183,6 +183,14 @@ def back_edge(doc):
     doc["edges"].append({"id": 2, "tail": "t", "head": "s", "cost": "1", "capacity": 1})
 
 
+def loop_through_a(doc):
+    doc["nodes"].append("a")
+    doc["edges"] += [
+        {"id": 2, "tail": "t", "head": "a", "cost": "1", "capacity": 1},
+        {"id": 3, "tail": "a", "head": "t", "cost": "1", "capacity": 1},
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, argv, start, message",
     [
@@ -221,6 +229,10 @@ def back_edge(doc):
         pytest.param(None, ["dynamics"], [[], [0]], "empty path", id="empty-start-path"),
         pytest.param(
             back_edge, ["dynamics"], [[0, 2, 0], [0]], "path revisits node 's'", id="start-path-revisits",
+        ),
+        # the path reaches the sink, leaves it and comes back, so only the end-of-path check sees the revisit
+        pytest.param(
+            loop_through_a, ["dynamics"], [[0, 2, 3], [0]], "path revisits node 't'", id="start-path-revisits-sink",
         ),
         pytest.param(
             edit_edge(capacity=1), ["dynamics"], [[0], [0]], "edge 0 loaded 2 over capacity 1", id="overloaded-start",
