@@ -78,6 +78,6 @@ from .graphs import (
     parallel,
     series,
 )
-from .rational import INFINITY, Cost, Infinity, as_decimal, format_rational, parse_rational
+from .rational import as_decimal, format_rational, parse_rational
 
 __version__ = "0.1.0"

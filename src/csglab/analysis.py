@@ -19,7 +19,6 @@ from typing import Mapping, NamedTuple
 from .errors import InternalAssertion, NotSeriesParallel, NotSymmetric
 from .game import GameInstance, StrategyProfile, _path_options, _prices, _scaled_costs, feasible_profiles, potential
 from .graphs import DEFAULT_PATH_CAP, EdgePath, GraphClass, classify
-from .rational import Cost, INFINITY, is_finite
 
 
 class Criterion(Enum):
@@ -205,9 +204,10 @@ def all_nash(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Equilibrium
 
 
 class RatioValue(NamedTuple):
-    """Exact equilibrium/optimum ratio; flagged when the optimum cost is zero."""
+    """Exact equilibrium/optimum ratio; flagged when the optimum cost is zero.
+    The value is None for x/0 with x > 0, the infinite ratio."""
 
-    value: Cost
+    value: Fraction | None
     degenerate: bool = False
 
 
@@ -217,7 +217,7 @@ class BoundCheck(NamedTuple):
     tag: str
     description: str
     bound: Fraction
-    measured: Cost
+    measured: Fraction | None  # None is the infinite ratio
     holds: bool
     witness: StrategyProfile | None = None
 
@@ -241,7 +241,7 @@ def _ratio(numerator: Fraction, denominator: Fraction) -> RatioValue:
         # 0/0 happens only on all-zero-cost games; report 1 and flag it
         if numerator == 0:
             return RatioValue(Fraction(1), degenerate=True)
-        return RatioValue(INFINITY, degenerate=True)
+        return RatioValue(None, degenerate=True)
     return RatioValue(numerator / denominator)
 
 
@@ -262,16 +262,15 @@ def compute_ratios(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Analy
     worst_mc = equilibria.extreme(Criterion.MAX, worst=True)
     best_mc = equilibria.extreme(Criterion.MAX, worst=False)
 
+    if best_sc.sum_cost < opt_sc[1] or best_mc.max_cost < opt_mc[1]:
+        raise InternalAssertion("an equilibrium beat the optimum")
+    if worst_sc.sum_cost < best_sc.sum_cost or worst_mc.max_cost < best_mc.max_cost:
+        raise InternalAssertion("best equilibrium worse than worst equilibrium")
+
     poa_sc = _ratio(worst_sc.sum_cost, opt_sc[1])
     pos_sc = _ratio(best_sc.sum_cost, opt_sc[1])
     poa_mc = _ratio(worst_mc.max_cost, opt_mc[1])
     pos_mc = _ratio(best_mc.max_cost, opt_mc[1])
-
-    for ratio in (poa_sc, pos_sc, poa_mc, pos_mc):
-        if is_finite(ratio.value) and ratio.value < 1:
-            raise InternalAssertion("an equilibrium beat the optimum")
-    if poa_sc.value < pos_sc.value or poa_mc.value < pos_mc.value:
-        raise InternalAssertion("best equilibrium worse than worst equilibrium")
 
     n = Fraction(instance.n)
     graph_class = classify(instance.graph)
@@ -318,7 +317,7 @@ def compute_ratios(instance: GameInstance, cap: int = DEFAULT_PATH_CAP) -> Analy
 def _check(
     tag: str, description: str, bound: Fraction, ratio: RatioValue, extreme: StrategyProfile
 ) -> BoundCheck:
-    holds = ratio.value <= bound
+    holds = ratio.value is not None and ratio.value <= bound
     return BoundCheck(
         tag=tag,
         description=description,

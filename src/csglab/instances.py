@@ -18,6 +18,7 @@ from .game import (
     SCHEME_FAMILIES,
     GameInstance,
     CostSharingScheme,
+    RationalLike,
     StrategyProfile,
     is_nash,
     make_instance,
@@ -38,8 +39,6 @@ from .graphs import (
     enumerate_st_paths,
     make_graph,
 )
-
-RationalLike = int | Fraction
 
 
 def crossed_dag(x: RationalLike, y: RationalLike) -> GameInstance:

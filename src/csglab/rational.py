@@ -1,72 +1,20 @@
-"""Exact rational values and the infinite ratio.
+"""Exact rational values and their report spelling.
 
 Every cost, share and potential the package hands out is a
 ``fractions.Fraction``; nothing is ever evaluated in floating point. Inside,
 the hot path runs on integers scaled by one per-instance denominator (the lcm
 of the share denominators, see ``GameInstance.scale``), which is just as
 exact, and converts back with ``Fraction(value, scale)`` at every public
-boundary. ``INFINITY`` is the degenerate ratio x/0 of a positive cost over
-a zero optimum: it dominates every comparison.
+boundary. The degenerate ratio x/0 of a positive cost over a zero optimum
+has no value: it travels as None and is written ``"inf"``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
 
 from .errors import ParameterViolation
-
-
-class Infinity:
-    """Singleton infinite ratio: ``INFINITY > x`` for every finite x."""
-
-    _singleton = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity)
-
-    def __hash__(self):
-        return hash((Infinity, "inf"))
-
-    def __lt__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return isinstance(other, Infinity)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return not isinstance(other, Infinity)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, Fraction, Infinity)):
-            return True
-        return NotImplemented
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = Infinity()
-
-Cost = Union[Fraction, Infinity]
-
-
-def is_finite(value: Cost) -> bool:
-    return not isinstance(value, Infinity)
-
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
@@ -83,17 +31,18 @@ def parse_rational(text: str) -> Fraction:
         raise ParameterViolation(f"not a valid rational: {text!r} ({exc})") from None
 
 
-def format_rational(value: Cost) -> str:
-    """Serialize as ``"num/den"`` (always with an explicit denominator)."""
-    if isinstance(value, Infinity):
+def format_rational(value: Fraction | None) -> str:
+    """Serialize as ``"num/den"`` (always with an explicit denominator), and
+    the infinite ratio None as ``"inf"``."""
+    if value is None:
         return "inf"
     return f"{value.numerator}/{value.denominator}"
 
 
-def as_decimal(value: Cost) -> float | None:
-    """Float approximation for reports; None for the infinite ratio and for
-    values beyond the float range."""
-    if isinstance(value, Infinity):
+def as_decimal(value: Fraction | None) -> float | None:
+    """Float approximation for reports; None for the infinite ratio None and
+    for values beyond the float range."""
+    if value is None:
         return None
     try:
         return float(value)

@@ -216,6 +216,11 @@ def _claim(tag: str) -> str:
     return f"{claim} [{source}]"
 
 
+def _share(check) -> tuple[bool, Fraction]:
+    """``measured / bound`` as a sort key that ranks the infinite ratio None above every finite share."""
+    return (True, Fraction(0)) if check.measured is None else (False, check.measured / check.bound)
+
+
 def _verdict_rows(criterion: str, suite: str, reports, tags: tuple[str, ...]) -> list[CheckRow]:
     """One row per bound tag over ``(label, report)`` pairs.
 
@@ -228,7 +233,7 @@ def _verdict_rows(criterion: str, suite: str, reports, tags: tuple[str, ...]) ->
         bound = tag.split("<=")[1]
         checks = [(label, by_tag.get(tag)) for label, by_tag in verdicts]
         worst = _worst(
-            (check.measured / check.bound, f"{format_rational(check.measured)} of {bound}={check.bound} @ {label}")
+            (_share(check), f"{format_rational(check.measured)} of {bound}={check.bound} @ {label}")
             for label, check in checks
             if check is not None
         )

@@ -7,12 +7,12 @@ second route rather than against itself.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 from csglab.game import Deviation, GameInstance, StrategyProfile, make_instance, make_ordinary_scheme
 from csglab.graphs import Graph, make_graph
-from csglab.rational import INFINITY, Cost
 
 
 def oracle_paths(graph: Graph, source=None, sink=None) -> list[tuple[int, ...]]:
@@ -61,19 +61,21 @@ def oracle_is_nash(instance: GameInstance, profile: StrategyProfile) -> bool:
     return True
 
 
-def oracle_agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Cost:
-    """Shares summed straight from the schemes, INFINITY on any overload."""
+def oracle_agent_cost(instance: GameInstance, profile: StrategyProfile, agent: int) -> Fraction | float:
+    """Shares summed straight from the schemes, ``math.inf`` on any overload."""
     loads = profile.loads
     total = Fraction(0)
     for edge_id in profile.paths[agent]:
         scheme = instance.schemes[edge_id]
         if loads[edge_id] > scheme.capacity:
-            return INFINITY
+            return math.inf
         total += scheme.shares[loads[edge_id] - 1]
     return total
 
 
-def oracle_social_costs(instance: GameInstance, profile: StrategyProfile) -> tuple[Cost, Cost]:
+def oracle_social_costs(
+    instance: GameInstance, profile: StrategyProfile
+) -> tuple[Fraction | float, Fraction | float]:
     """Sum and max of oracle_agent_cost over every agent, (0, 0) for none."""
     costs = [oracle_agent_cost(instance, profile, agent) for agent in range(len(profile))]
     return sum(costs, Fraction(0)), max(costs, default=Fraction(0))

@@ -132,6 +132,16 @@ def test_c5_row_fails_on_a_planted_violation(monkeypatch):
     assert verdicts(rows) == {"PoS_sc<=n [Thm13]": True, "PoS_mc<=n^2 [Thm14]": False}
 
 
+def test_c5_row_fails_on_an_infinite_measurement(monkeypatch):
+    plant_in_first_bounds(
+        monkeypatch,
+        lambda bounds: [b._replace(measured=None, holds=False) if b.tag.startswith("Thm13:") else b for b in bounds],
+    )
+    rows = verification.criterion_5_asymmetric(count=10)
+    assert verdicts(rows) == {"PoS_sc<=n [Thm13]": False, "PoS_mc<=n^2 [Thm14]": True}
+    assert rows[0].measured == "worst inf of n=2 @ random-asymmetric(seed=2000,n=2,scheme=ordinary)"
+
+
 def failures(rows):
     return [(row.claim, row.instance) for row in rows if not row.passed]
 
@@ -184,3 +194,11 @@ def test_c6_rows_fail_on_a_potential_off_by_one(monkeypatch):
         ("potential change equals the mover's cost change", "500 random single deviations"),
     ]
     assert all(row.measured != "0 violations" for row in rows[:2])
+
+
+def test_c6_row_fails_on_an_incomplete_deviation_sample(monkeypatch):
+    # no deviation is feasible, so C6 draws none of its 500
+    monkeypatch.setattr(verification, "is_feasible", lambda instance, profile: False)
+    rows = verification.criterion_6_potential_identities()
+    assert failures(rows) == [("potential change equals the mover's cost change", "0 random single deviations")]
+    assert rows[1].measured == "0 violations"

@@ -13,7 +13,7 @@ from csglab.analysis import (
     verify_lemma_cost_bound,
 )
 from csglab.dynamics import run_dynamics
-from csglab.errors import NotSeriesParallel, NotSymmetric, PathExplosion
+from csglab.errors import InternalAssertion, NotSeriesParallel, NotSymmetric, PathExplosion
 from csglab.game import (
     StrategyProfile,
     feasible_profiles,
@@ -358,6 +358,33 @@ def test_ratio_invariants_on_random_instances():
         report = compute_ratios(inst)
         assert 1 <= report.pos_sc.value <= report.poa_sc.value
         assert 1 <= report.pos_mc.value <= report.poa_mc.value
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_an_optimum_above_the_best_equilibrium_is_refused(monkeypatch, criterion):
+    # two-link(3) has an equilibrium at each optimum, so one unit more beats it
+    real = analysis._first_minimum
+
+    def planted(instance, orbits, which):
+        profile, value = real(instance, orbits, which)
+        return profile, value + 1 if which is criterion else value
+
+    monkeypatch.setattr(analysis, "_first_minimum", planted)
+    with pytest.raises(InternalAssertion, match="an equilibrium beat the optimum"):
+        compute_ratios(two_link(3))
+
+
+@pytest.mark.parametrize("criterion", list(Criterion))
+def test_swapped_equilibrium_extremes_are_refused(monkeypatch, criterion):
+    # two-link(3)'s equilibria differ under both criteria
+    real = analysis.EquilibriumSet.extreme
+    monkeypatch.setattr(
+        analysis.EquilibriumSet,
+        "extreme",
+        lambda self, which, worst: real(self, which, worst != (which is criterion)),
+    )
+    with pytest.raises(InternalAssertion, match="best equilibrium worse than worst equilibrium"):
+        compute_ratios(two_link(3))
 
 
 def test_degenerate_all_zero_instance_flagged():

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from csglab import game
-from csglab.analysis import compute_ratios
+from csglab import analysis, game, io
+from csglab.analysis import RatioValue, compute_ratios
 from csglab.dynamics import run_dynamics
 from csglab.errors import InstanceFormatError, ParameterViolation, SchemeViolation
 from csglab.instances import crossed_dag, overhead_parallel, random_asymmetric, random_sp, two_link
@@ -108,6 +108,16 @@ def test_report_document_shape_and_stability():
     d2 = dict(doc2)
     assert d1.pop("volatile") != d2.pop("volatile")
     assert canonical_json(d1) == canonical_json(d2)
+
+
+def test_an_infinite_ratio_fails_its_bound_and_reads_inf():
+    # no report in the tests reaches this: their one game with a zero optimum and
+    # a costly equilibrium has a cycle, so it is general and gets no anarchy bound
+    witness = game.StrategyProfile(((0,), (1,)))
+    check = analysis._check("Thm5:PoA_sc<=n", "anarchy", Fraction(2), RatioValue(None, degenerate=True), witness)
+    assert check.measured is None and not check.holds and check.witness == witness
+    block = io._bound_block(check)
+    assert (block["measured"], block["holds"], block["witness"]) == ("inf", False, [[0], [1]])
 
 
 def test_report_criterion_filter():
