@@ -7,10 +7,11 @@ max-flow results and augmenting paths deterministic.
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, NamedTuple
+from collections import deque
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import InfeasibleFlow, InternalAssertion, ParameterViolation
-from .graphs import EdgePath, Graph, NodeId, first_path
+from .graphs import Edge, EdgePath, Graph, NodeId, first_path
 
 
 class Flow(NamedTuple):
@@ -55,13 +56,13 @@ def check_flow(graph: Graph, capacities: Mapping[int, int], flow: Flow) -> None:
 
 
 def _residual_search(
-    graph: Graph, capacities: Mapping[int, int], values: Mapping[int, int]
+    graph: Graph, capacities: Mapping[int, int], values: Mapping[int, int], at_source: Iterable[Edge]
 ) -> tuple[ResidualArc, ...] | None:
-    """Depth-first residual path, exploring arcs by lowest edge id first."""
+    """Depth-first residual path, exploring arcs by lowest edge id first and
+    trying, at the source, only the edges in ``at_source``."""
 
     def arcs(node: NodeId) -> Iterator[tuple[ResidualArc, NodeId]]:
-        # ids are unique and self-loops rejected, so Edge tuples sort by id
-        for e in sorted(graph.outgoing[node] + graph.incoming[node]):
+        for e in at_source if node == graph.source else graph.incident[node]:
             if e.tail == node:
                 if values.get(e.id, 0) < capacities.get(e.id, 0):
                     yield ResidualArc(e.id, True), e.head
@@ -76,7 +77,7 @@ def augmenting_path(
 ) -> tuple[ResidualArc, ...] | None:
     """Residual source->sink path, or None when ``flow`` is already maximum."""
     check_flow(graph, capacities, flow)
-    return _residual_search(graph, capacities, flow.values)
+    return _residual_search(graph, capacities, flow.values, graph.incident[graph.source])
 
 
 def apply_augmentation(values: Mapping[int, int], arcs: tuple[ResidualArc, ...]) -> dict[int, int]:
@@ -90,10 +91,15 @@ def apply_augmentation(values: Mapping[int, int], arcs: tuple[ResidualArc, ...])
 def max_flow(graph: Graph, capacities: Mapping[int, int]) -> Flow:
     """Integral maximum flow by repeated augmentation (value = min cut)."""
     _validate_capacities(graph, capacities)
-    values = {e.id: 0 for e in graph.edges_by_id}
+    values = {e.id: 0 for e in graph.edges}
     value = 0
+    # No search re-enters the source, so its in-edges never carry flow and a
+    # saturated out-edge stays saturated: searches skip the leading full ones.
+    live = deque(graph.outgoing[graph.source])
     while True:
-        arcs = _residual_search(graph, capacities, values)
+        while live and values[live[0].id] >= capacities.get(live[0].id, 0):
+            live.popleft()
+        arcs = _residual_search(graph, capacities, values, live)
         if arcs is None:
             return Flow(values, value)
         bottleneck = min(
@@ -113,7 +119,7 @@ def decompose_unit_paths(graph: Graph, values: Mapping[int, int]) -> tuple[EdgeP
     peeled and the split is deterministic.
     """
     src, dst = graph.source, graph.sink
-    work = {e.id: values.get(e.id, 0) for e in graph.edges_by_id}
+    work = {e.id: values.get(e.id, 0) for e in graph.edges}
 
     def carrying(node: NodeId) -> Iterator[tuple[int, NodeId]]:
         for e in graph.outgoing[node]:

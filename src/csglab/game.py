@@ -212,7 +212,7 @@ class GameInstance(Frozen):
 
     @cached_property
     def capacities(self) -> dict[int, int]:
-        return {e.id: self.schemes[e.id].capacity for e in self.graph.edges_by_id}
+        return {e.id: self.schemes[e.id].capacity for e in self.graph.edges}
 
     @cached_property
     def scale(self) -> int:

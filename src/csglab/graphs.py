@@ -58,7 +58,8 @@ class Graph(Frozen):
     """Directed multigraph with designated source and sink terminals.
 
     Edge ids are unique integers; parallel edges are allowed (parallel-link
-    graphs require them), self-loops are rejected at construction.
+    graphs require them), self-loops are rejected at construction. ``edges``
+    and every per-node table keep the edges in id order.
     """
 
     FIELDS = ("nodes", "edges", "source", "sink")
@@ -70,23 +71,25 @@ class Graph(Frozen):
     def edge_map(self) -> dict[int, Edge]:
         return {e.id: e for e in self.edges}
 
-    @cached_property
-    def edges_by_id(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self.edges, key=lambda e: e.id))
+    def _edges_at(self, ends: Callable[[Edge], tuple[NodeId, ...]]) -> dict[NodeId, tuple[Edge, ...]]:
+        table: dict[NodeId, list[Edge]] = {v: [] for v in self.nodes}
+        for edge in self.edges:
+            for v in ends(edge):
+                table[v].append(edge)
+        return {v: tuple(es) for v, es in table.items()}
 
     @cached_property
     def outgoing(self) -> dict[NodeId, tuple[Edge, ...]]:
-        table: dict[NodeId, list[Edge]] = {v: [] for v in self.nodes}
-        for edge in self.edges_by_id:
-            table[edge.tail].append(edge)
-        return {v: tuple(es) for v, es in table.items()}
+        return self._edges_at(lambda e: (e.tail,))
 
     @cached_property
     def incoming(self) -> dict[NodeId, tuple[Edge, ...]]:
-        table: dict[NodeId, list[Edge]] = {v: [] for v in self.nodes}
-        for edge in self.edges_by_id:
-            table[edge.head].append(edge)
-        return {v: tuple(es) for v, es in table.items()}
+        return self._edges_at(lambda e: (e.head,))
+
+    @cached_property
+    def incident(self) -> dict[NodeId, tuple[Edge, ...]]:
+        """Each node's out- and in-edges together."""
+        return self._edges_at(lambda e: (e.tail, e.head))
 
 
 def make_graph(
@@ -95,19 +98,17 @@ def make_graph(
     source: NodeId,
     sink: NodeId,
 ) -> Graph:
-    """Validate and freeze a graph; edges may be given as (id, tail, head)."""
+    """Validate and freeze a graph; its (id, tail, head) edges may come in any order."""
     node_tuple = tuple(nodes)
-    if len(set(node_tuple)) != len(node_tuple):
-        raise ParameterViolation("duplicate node ids")
     node_set = set(node_tuple)
-    edge_list: list[Edge] = []
-    for item in edges:
-        edge = item if isinstance(item, Edge) else Edge(*item)
+    if len(node_set) != len(node_tuple):
+        raise ParameterViolation("duplicate node ids")
+    edge_list = [Edge(*item) for item in edges]
+    for edge in edge_list:
         if edge.tail not in node_set or edge.head not in node_set:
             raise ParameterViolation(f"edge {edge.id} references unknown node")
         if edge.tail == edge.head:
             raise ParameterViolation(f"edge {edge.id} is a self-loop")
-        edge_list.append(edge)
     ids = [e.id for e in edge_list]
     if len(set(ids)) != len(ids):
         raise ParameterViolation("duplicate edge ids")
@@ -115,7 +116,7 @@ def make_graph(
         raise ParameterViolation("source/sink must be graph nodes")
     if source == sink:
         raise ParameterViolation("source and sink must differ")
-    return Graph(node_tuple, tuple(edge_list), source, sink)
+    return Graph(node_tuple, tuple(sorted(edge_list)), source, sink)  # unique ids: sorts by id
 
 
 class GraphClass(Enum):

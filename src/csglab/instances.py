@@ -9,6 +9,7 @@ Random generators are pure functions of their seed.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -27,18 +28,8 @@ from .game import (
     max_cost,
     sum_cost,
 )
-from .graphs import (
-    EdgeLeaf,
-    Frozen,
-    GraphClass,
-    Parallel,
-    Series,
-    SpExpression,
-    build_sp_graph,
-    classify,
-    enumerate_st_paths,
-    make_graph,
-)
+from .graphs import Frozen, GraphClass, classify, enumerate_st_paths, make_graph
+from .rational import parse_rational
 
 
 def crossed_dag(x: RationalLike, y: RationalLike) -> GameInstance:
@@ -125,24 +116,6 @@ def two_link(n: int) -> GameInstance:
 # --- random families ---------------------------------------------------------
 
 
-def _random_sp_expression(rng: random.Random, depth: int) -> SpExpression:
-    # Draw the nodes in pre-order, the order in which they consume ``rng``,
-    # then assemble the tree from the end of that prefix sequence.
-    drawn: list[type | None] = []  # Series or Parallel, None for a leaf
-    pending = [depth]
-    while pending:
-        level = pending.pop()
-        if level == 0 or rng.random() < 0.3:
-            drawn.append(None)
-        else:
-            drawn.append(rng.choice((Series, Parallel)))
-            pending += [level - 1, level - 1]
-    built: list[SpExpression] = []
-    for kind in reversed(drawn):
-        built.append(EdgeLeaf() if kind is None else kind(built.pop(), built.pop()))
-    return built[0]
-
-
 def _random_cost(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, 6), rng.randint(1, 3))
 
@@ -202,18 +175,28 @@ def random_sp(
         raise ParameterViolation("bad capacity range")
 
     rng = random.Random(seed)
-    graph = build_sp_graph(_random_sp_expression(rng, max_depth))
-    capacities = {e.id: rng.randint(*cap_range) for e in graph.edges_by_id}
+    # draw the SP expression tree in pre-order, laying out each node as drawn
+    nodes = [0, 1]
+    edges: list[tuple[int, int, int]] = []
+    pending = [(max_depth, 0, 1)]
+    while pending:
+        level, tail, head = pending.pop()
+        if level == 0 or rng.random() < 0.3:
+            edges.append((len(edges), tail, head))
+        elif rng.choice(("series", "parallel")) == "series":
+            nodes.append(len(nodes))
+            pending += [(level - 1, nodes[-1], head), (level - 1, tail, nodes[-1])]
+        else:
+            pending += [(level - 1, tail, head), (level - 1, tail, head)]
+    graph = make_graph(nodes, edges, 0, 1)
+    capacities = {e.id: rng.randint(*cap_range) for e in graph.edges}
     paths = enumerate_st_paths(graph)
     # every source->sink cut meets each path, so each bump raises the min cut
     # by at least one and at most ``agents`` bumps are needed
     while flows.max_flow(graph, capacities).value < agents:
         for edge_id in rng.choice(paths):
             capacities[edge_id] += 1
-    schemes = {
-        e.id: _scheme_for(rng, scheme_family, _random_cost(rng), capacities[e.id])
-        for e in graph.edges_by_id
-    }
+    schemes = {eid: _scheme_for(rng, scheme_family, _random_cost(rng), cap) for eid, cap in capacities.items()}
     return make_instance(graph, schemes, agents)
 
 
@@ -269,14 +252,11 @@ def random_asymmetric(
         if not ok:
             continue
 
-        capacities = {e.id: rng.randint(1, 2) for e in graph.edges_by_id}
+        capacities = {e.id: rng.randint(1, 2) for e in graph.edges}
         for edge_id, load in StrategyProfile(tuple(pick)).loads.items():
             capacities[edge_id] = max(capacities[edge_id], load)
 
-        schemes = {
-            e.id: _scheme_for(rng, scheme_family, _random_cost(rng), capacities[e.id])
-            for e in graph.edges_by_id
-        }
+        schemes = {eid: _scheme_for(rng, scheme_family, _random_cost(rng), cap) for eid, cap in capacities.items()}
         # feasible by construction: the capacities hold every picked path
         return make_instance(graph, schemes, terminals, certify=False)
     raise GenerationFailed(f"could not build an asymmetric DAG instance for seed {seed}")
@@ -299,25 +279,37 @@ class InstanceRecipe(Frozen):
         return {"kind": self.kind, "params": {k: str(v) for k, v in self.params.items()}}
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parameter(name: str, value: object) -> object:
+    """n, seed and max_depth as integers: a non-bool int or ASCII digits with an
+    optional sign; x, y and eps as rationals: a Fraction, a non-bool int or text
+    that parse_rational accepts; any other parameter as given."""
+    if name in ("x", "y", "eps"):
+        if isinstance(value, str):
+            return parse_rational(value)
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            return Fraction(value)
+        raise ParameterViolation(f"recipe parameter {name} must be a rational, got {value!r}")
+    if name in ("n", "seed", "max_depth"):
+        if isinstance(value, str) and _INTEGER.fullmatch(value):
+            return parse_rational(value).numerator  # beyond int()'s digit limit: ParameterViolation
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParameterViolation(f"recipe parameter {name} must be an integer, got {value!r}")
+    return value
+
+
 def build_recipe(recipe: InstanceRecipe) -> GameInstance:
-    params = dict(recipe.params)
+    p = {name: _parameter(name, value) for name, value in recipe.params.items()}
     if recipe.kind == "fig2":
-        return crossed_dag(Fraction(str(params["x"])), Fraction(str(params["y"])))
+        return crossed_dag(p["x"], p["y"])
     if recipe.kind == "fig3":
-        return overhead_parallel(int(params["n"]), Fraction(str(params["eps"])))
+        return overhead_parallel(p["n"], p["eps"])
     if recipe.kind == "two-link":
-        return two_link(int(params["n"]))
+        return two_link(p["n"])
     if recipe.kind == "random-sp":
-        return random_sp(
-            int(params["seed"]),
-            int(params["n"]),
-            max_depth=int(params.get("max_depth", 3)),
-            scheme_family=str(params.get("scheme", "ordinary")),
-        )
+        return random_sp(p["seed"], p["n"], max_depth=p.get("max_depth", 3), scheme_family=p.get("scheme", "ordinary"))
     if recipe.kind == "random-asymmetric":
-        return random_asymmetric(
-            int(params["seed"]),
-            int(params["n"]),
-            scheme_family=str(params.get("scheme", "ordinary")),
-        )
+        return random_asymmetric(p["seed"], p["n"], scheme_family=p.get("scheme", "ordinary"))
     raise ParameterViolation(f"unknown recipe kind {recipe.kind!r}")

@@ -42,7 +42,7 @@ def instance_to_document(
 ) -> dict:
     graph = instance.graph
     edges = []
-    for edge in graph.edges_by_id:
+    for edge in graph.edges:
         scheme = instance.schemes[edge.id]
         edges.append(
             {

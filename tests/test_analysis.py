@@ -450,3 +450,26 @@ def test_lemma_cost_bound_rejects_non_sp():
 def test_lemma_cost_bound_requires_shared_terminals():
     with pytest.raises(NotSymmetric):
         verify_lemma_cost_bound(compute_ratios(series_with_two_sinks()))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_harmonic_family_has_stability_price_h_n(n):
+    # Anshelevich et al. (FOCS 2004): agent i pays 1/i alone on its own edge
+    # to t, or shares h->t of cost 1 + eps after a free edge to h; the only
+    # equilibrium keeps every agent on its own edge, the optimum shares
+    eps = Fraction(1, 1000)
+    nodes = [f"s{i}" for i in range(1, n + 1)] + ["h", "t"]
+    edges = [(0, "h", "t")]
+    costs = {0: 1 + eps}
+    for i in range(1, n + 1):
+        edges += [(2 * i - 1, f"s{i}", "t"), (2 * i, f"s{i}", "h")]
+        costs |= {2 * i - 1: Fraction(1, i), 2 * i: Fraction(0)}
+    graph = make_graph(nodes, edges, "s1", "t")
+    schemes = {eid: make_ordinary_scheme(cost, n) for eid, cost in costs.items()}
+    report = compute_ratios(make_instance(graph, schemes, [(f"s{i}", "t") for i in range(1, n + 1)]))
+    harmonic = sum(Fraction(1, i) for i in range(1, n + 1))
+    assert report.pos_sc.value == harmonic / (1 + eps)
+    if n == 3:
+        assert report.pos_sc.value == Fraction(500, 273)
+    (thm13,) = [check for check in report.bounds if check.tag == "Thm13:PoS_sc<=n"]
+    assert thm13.holds and thm13.measured == report.pos_sc.value

@@ -197,6 +197,26 @@ def test_max_flow_builds_only_the_residual_arcs_it_tries(monkeypatch):
     assert len(made) <= 2 * n + 1
 
 
+def test_max_flow_reads_each_capacity_a_bounded_number_of_times():
+    # fig3's shape again: searches that each step past every saturated unit
+    # link at the source read about (n + 1)(n + 2) / 2 capacities in all
+    reads = []
+
+    class Counted(dict):
+        def get(self, *args):
+            reads.append(args[0])
+            return super().get(*args)
+
+        def __getitem__(self, key):
+            reads.append(key)
+            return super().__getitem__(key)
+
+    n = 2000
+    g = make_graph(["s", "t"], [(i, "s", "t") for i in range(n + 1)], "s", "t")
+    assert max_flow(g, Counted({i: 1 for i in range(n)} | {n: n})).value == 2 * n
+    assert len(reads) <= 10 * n
+
+
 @st.composite
 def flow_networks(draw):
     """A digraph of 2-6 nodes with parallel arcs and cycles, shuffled edge

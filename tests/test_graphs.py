@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from csglab.errors import ParameterViolation, PathExplosion
 from csglab.graphs import (
@@ -34,6 +35,29 @@ def test_graph_rejects_duplicate_edge_ids_and_bad_terminals():
         make_graph(["s", "t"], [(0, "s", "t")], "s", "s")
     with pytest.raises(ParameterViolation):
         make_graph(["s", "t"], [(0, "s", "x")], "s", "t")
+
+
+@st.composite
+def shuffled_edges(draw):
+    """Node count, and (id, tail, head) triples with distinct ids, in a
+    drawn order."""
+    count = draw(st.integers(2, 5))
+    ends = st.tuples(st.integers(0, count - 1), st.integers(0, count - 1)).filter(lambda arc: arc[0] != arc[1])
+    arcs = draw(st.lists(ends, max_size=10))
+    ids = draw(st.permutations(range(2 * len(arcs))))[: len(arcs)]
+    return count, draw(st.permutations([(i, u, v) for i, (u, v) in zip(ids, arcs)]))
+
+
+@given(shuffled_edges())
+def test_graph_keeps_edges_in_id_order_whatever_order_they_come_in(drawn):
+    count, triples = drawn
+    graph = make_graph(range(count), triples, 0, count - 1)
+    assert graph == make_graph(range(count), sorted(triples), 0, count - 1)
+    assert graph.edges == tuple(sorted(triples))
+    for v in graph.nodes:
+        for table in (graph.outgoing, graph.incoming, graph.incident):
+            assert [e.id for e in table[v]] == sorted(e.id for e in table[v])
+        assert sorted(graph.incident[v]) == sorted(graph.outgoing[v] + graph.incoming[v])
 
 
 def test_build_single_edge():

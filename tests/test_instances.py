@@ -15,6 +15,7 @@ from csglab.instances import (
     random_sp,
     two_link,
 )
+from csglab.io import instance_to_document
 from csglab import flows
 
 
@@ -155,6 +156,30 @@ def test_recipe_dispatch():
     assert build_recipe(InstanceRecipe("random-asymmetric", {"seed": 3, "n": 2})).n == 2
     with pytest.raises(ParameterViolation):
         build_recipe(InstanceRecipe("mystery", {}))
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("two-link", {"n": 2.7}),
+        ("random-sp", {"seed": "7", "n": True}),
+        ("fig3", {"n": 4, "eps": "0.01"}),
+        ("fig2", {"x": "1e2", "y": 200}),
+        ("two-link", {"n": "9" * 5000}),
+    ],
+    ids=["float-count", "bool-count", "decimal-eps", "exponent-x", "too-many-digits"],
+)
+def test_recipe_refuses_parameters_it_would_have_to_coerce(kind, params):
+    with pytest.raises(ParameterViolation):
+        build_recipe(InstanceRecipe(kind, params))
+
+
+def test_recipe_rebuilds_from_its_own_document_params():
+    recipe = InstanceRecipe("random-sp", {"seed": 7, "n": 3, "max_depth": 2, "scheme": "mixed"})
+    rebuilt = InstanceRecipe("random-sp", recipe.as_document()["params"])
+    assert instance_to_document(build_recipe(rebuilt)) == instance_to_document(build_recipe(recipe))
+    fig2 = InstanceRecipe("fig2", {"x": Fraction(1, 2), "y": 3})
+    assert build_recipe(InstanceRecipe("fig2", fig2.as_document()["params"])).n == 2
 
 
 def test_random_sp_routes_many_agents():

@@ -374,7 +374,7 @@ def table_scheme(draw, agents):
 @given(st.one_of(parallel_links(), sp_expressions()), st.integers(min_value=1, max_value=3), st.data())
 def test_integer_kernel_matches_fraction_oracles(expr, agents, data):
     graph = build_sp_graph(expr)
-    schemes = {e.id: data.draw(table_scheme(agents)) for e in graph.edges_by_id}
+    schemes = {e.id: data.draw(table_scheme(agents)) for e in graph.edges}
     inst = make_instance(graph, schemes, agents, certify=False)
     paths = enumerate_st_paths(graph)
     profiles = data.draw(
@@ -433,7 +433,7 @@ def symmetric_sp_games(draw):
     so capacities bind."""
     graph = build_sp_graph(draw(st.one_of(parallel_links(), sp_expressions())))
     agents = draw(st.integers(min_value=2, max_value=3))
-    schemes = {e.id: draw(table_scheme(agents)) for e in graph.edges_by_id}
+    schemes = {e.id: draw(table_scheme(agents)) for e in graph.edges}
     inst = make_instance(graph, schemes, agents, certify=False)
     return inst, some_of(draw, oracle_feasible_profiles(inst))
 
@@ -456,7 +456,7 @@ def mixed_terminal_games(draw):
     """
     base = random_asymmetric(draw(st.integers(min_value=0, max_value=10**6)), 2)
     terminals = draw(st.lists(st.sampled_from(base.terminals), min_size=3, max_size=4))
-    schemes = {e.id: draw(table_scheme(len(terminals))) for e in base.graph.edges_by_id}
+    schemes = {e.id: draw(table_scheme(len(terminals))) for e in base.graph.edges}
     inst = make_instance(base.graph, schemes, terminals, certify=False)
     profiles = some_of(draw, oracle_feasible_profiles(inst))
     strangers = [(i, j) for i, a in enumerate(terminals) for j, b in enumerate(terminals) if a != b]
@@ -518,7 +518,7 @@ def threshold_or_table(draw, agents):
 def symmetric_orbit_games(draw):
     graph = build_sp_graph(draw(st.one_of(parallel_links(), sp_expressions())))
     agents = draw(st.integers(min_value=0, max_value=3))
-    schemes = {e.id: draw(threshold_or_table(agents)) for e in graph.edges_by_id}
+    schemes = {e.id: draw(threshold_or_table(agents)) for e in graph.edges}
     return make_instance(graph, schemes, agents, certify=False)
 
 
@@ -536,7 +536,7 @@ def split_class_games(draw):
     first, other = base.terminals
     middle = draw(st.lists(st.sampled_from(base.terminals), max_size=1))
     terminals = [first, *middle, other, first]
-    schemes = {e.id: draw(threshold_or_table(len(terminals))) for e in base.graph.edges_by_id}
+    schemes = {e.id: draw(threshold_or_table(len(terminals))) for e in base.graph.edges}
     return make_instance(base.graph, schemes, terminals, certify=False)
 
 

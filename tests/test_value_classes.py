@@ -106,7 +106,7 @@ def test_deviation_policy_checks_ordering_and_rule():
 
 
 CACHED = [
-    (graph, ("edge_map", "edges_by_id", "outgoing", "incoming")),
+    (graph, ("edge_map", "outgoing", "incoming", "incident")),
     (lambda: StrategyProfile(((0, 1), (2,), (0, 1))), ("loads",)),
     (lambda: two_link(3), ("symmetric", "capacities", "scale", "scaled_shares", "scaled_prefix")),
 ]
